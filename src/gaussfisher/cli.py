@@ -339,7 +339,7 @@ def cmd_verify(args) -> int:
             print(f"{status} [{name}] {result.name}: {result.detail}")
             failures += 0 if result.passed else 1
     if args.suite == "all" and not args.include_oracle:
-        print("SKIP [oracle] gated behind --include-oracle (several minutes of runtime)")
+        print("SKIP [oracle] gated behind --include-oracle (a few seconds of runtime)")
     print(f"verify: {'OK' if failures == 0 else f'{failures} failure(s)'}")
     return 0 if failures == 0 else 1
 

@@ -1,16 +1,26 @@
 """Truncated Fock-space oracle for the family states.
 
 Density matrices live on a d x d per-mode photon-number grid (total
-dimension D = d^2). Device unitaries are dense matrix exponentials of the
-truncated generators; the mode-mixing generator conserves total photon
-number, so its truncation is exact on the retained total-number blocks,
-while the squeeze generator leaks probability through the truncation
-boundary. This module backs tests and the ``oracle`` CLI command only; the
-closed-form library never calls into it.
+dimension D = d^2, flat index n1 * d + n2). Each device generator conserves
+one photon-number combination: the mode mixer conserves n1 + n2, the
+two-mode squeezer n1 - n2. Grouping the flat indices by that number splits
+the truncated space into 2d - 1 sectors of sizes 1, 2, ..., d, ..., 2, 1.
+The truncated generator couples only neighbouring states of one sector, so
+it is a direct sum of tridiagonal sector blocks, and device unitaries,
+density matrices and Uhlmann products are built sector by sector from one
+matrix exponential per block. Only a mode-mixed x squeezed pair, which
+shares no sectoring, needs a dense D x D singular value decomposition.
+
+The mixer's truncation is exact on the sectors n1 + n2 < d, which the
+truncation keeps whole; the squeezer's sectors are cut where the true
+operator would climb past d - 1 photons, so it leaks probability through
+the truncation boundary. This module backs tests and the ``oracle`` CLI
+command only; the closed-form library never calls into it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -22,22 +32,51 @@ DEFAULT_MAX_DEFICIT = 1e-6
 DEFAULT_MAX_DEFECT = 1e-8
 _EIG_CLAMP = 1e-8
 
+TOTAL = "n1+n2"       # conserved by the mode mixer
+DIFFERENCE = "n1-n2"  # conserved by the two-mode squeezer
+
 
 @dataclass(frozen=True)
 class FockDensity:
     """Hermitian D x D density matrix with its truncation bookkeeping.
 
-    ``spectrum``/``basis`` optionally carry a known spectral resolution
-    (matrix = basis diag(spectrum) basis^dag, basis None meaning the Fock
-    basis itself); constructors that build states by unitary conjugation
-    fill these in so fidelity evaluations can skip a re-diagonalization.
+    ``spectrum`` optionally carries the eigenvalues of a known spectral
+    resolution, matrix = U diag(spectrum) U^dag. U is the direct sum of the
+    unitary ``blocks`` over ``sectors(d, conserved)``, or the identity when
+    ``blocks`` is None. Constructors that build states by unitary
+    conjugation fill these in, so fidelity evaluations skip a
+    re-diagonalization and work sector by sector.
     """
 
     d: int
     matrix: np.ndarray
     trace_deficit: float
     spectrum: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    conserved: str | None = None
+    blocks: tuple[np.ndarray, ...] | None = None
+
+
+@lru_cache(maxsize=None)
+def sectors(d: int, conserved: str) -> tuple[np.ndarray, ...]:
+    """Ascending flat indices of each photon-number sector.
+
+    ``conserved`` is TOTAL (sectors n1 + n2 = 0, ..., 2d - 2) or
+    DIFFERENCE (sectors n1 - n2 = -(d - 1), ..., d - 1). Either way there
+    are 2d - 1 sectors of at most d indices each, and n1 ascends within a
+    sector.
+    """
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    if conserved == TOTAL:
+        key = n1 + n2
+    elif conserved == DIFFERENCE:
+        key = n1 - n2 + d - 1
+    else:
+        raise ValidationError(f"unknown conserved quantity {conserved!r}")
+    order = np.argsort(key, kind="stable")
+    out = tuple(np.split(order, np.cumsum(np.bincount(key))[:-1]))
+    for idx in out:
+        idx.flags.writeable = False
+    return out
 
 
 def thermal_weights(n: float, d: int) -> np.ndarray:
@@ -50,9 +89,7 @@ def thermal_weights(n: float, d: int) -> np.ndarray:
     return np.exp(k * math.log(n) - (k + 1) * math.log(n + 1.0))
 
 
-def thermal_dm(n1: float, n2: float, d: int,
-               max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
-    """Two-mode thermal state as a product of geometric mixtures."""
+def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
     if n1 < 0.0 or n2 < 0.0:
         raise ValidationError("mean photon numbers must be >= 0")
     if d < 2:
@@ -63,18 +100,15 @@ def thermal_dm(n1: float, n2: float, d: int,
         raise TruncationError(
             f"trace deficit {deficit:.3e} exceeds {max_deficit:.1e}; raise d"
         )
+    return w, deficit
+
+
+def thermal_dm(n1: float, n2: float, d: int,
+               max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
+    """Two-mode thermal state as a product of geometric mixtures."""
+    w, deficit = _thermal_spectrum(n1, n2, d, max_deficit)
     return FockDensity(d=d, matrix=np.diag(w.astype(complex)),
                        trace_deficit=deficit, spectrum=w)
-
-
-def _annihilator(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
-
-
-def _mode_ops(d: int):
-    a = _annihilator(d)
-    eye = np.eye(d, dtype=complex)
-    return np.kron(a, eye), np.kron(eye, a)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -83,15 +117,57 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(dim)).max())
 
 
+def _sector_unitaries(d: int, conserved: str, coupling: complex):
+    """expm of each sector block of a truncated two-mode generator.
+
+    Within a sector, ordered by ascending n1, the generator links only
+    neighbouring states, so each block is tridiagonal and anti-Hermitian:
+    superdiagonal ``coupling * sqrt(m1 m2)``, subdiagonal minus its
+    conjugate. sqrt(m1 m2) is the ladder amplitude between neighbours j and
+    j + 1. In a TOTAL sector j + 1 holds one photon more in mode 1 and one
+    fewer in mode 2, so m1 is n1 of j + 1 and m2 is n2 of j; in a
+    DIFFERENCE sector j + 1 holds one more in each mode, so both are read
+    off j + 1.
+    """
+    blocks = []
+    for idx in sectors(d, conserved):
+        n1, n2 = np.divmod(idx, d)
+        ladder = n2[:-1] if conserved == TOTAL else n2[1:]
+        upper = coupling * np.sqrt(n1[1:] * ladder)
+        blocks.append(expm(np.diag(upper, 1) - np.diag(upper.conj(), -1)))
+    return tuple(blocks)
+
+
+def _assemble(blocks, index_sets, dim: int) -> np.ndarray:
+    """Dense dim x dim matrix of a direct sum of sector blocks."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, block in zip(index_sets, blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def _bs_blocks(theta: float, phi: float, d: int):
+    MtsParams(0.0, 0.0, theta, phi)  # range validation
+    # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2)
+    return _sector_unitaries(d, TOTAL, 0.5 * theta * np.exp(1j * phi))
+
+
+def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
+    StsParams(0.0, 0.0, r, phi)  # range validation
+    # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2)
+    blocks = _sector_unitaries(d, DIFFERENCE, -r * np.exp(-1j * phi))
+    # u is block-diagonal, so its defect is the largest block defect
+    defect = max(unitarity_defect(u) for u in blocks)
+    if defect > max_defect:
+        raise TruncationError(
+            f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
+        )
+    return blocks
+
+
 def bs_unitary(theta: float, phi: float, d: int) -> np.ndarray:
     """Mode-mixing unitary on the truncated two-mode Fock space."""
-    MtsParams(0.0, 0.0, theta, phi)  # range validation
-    a1, a2 = _mode_ops(d)
-    gen = (theta / 2.0) * (
-        np.exp(1j * phi) * (a1 @ a2.conj().T)
-        - np.exp(-1j * phi) * (a1.conj().T @ a2)
-    )
-    return expm(gen)
+    return _assemble(_bs_blocks(theta, phi, d), sectors(d, TOTAL), d * d)
 
 
 def sq_unitary(r: float, phi: float, d: int,
@@ -104,38 +180,28 @@ def sq_unitary(r: float, phi: float, d: int,
     and the matrix only represents the true operator faithfully on states
     far from the truncation boundary.
     """
-    StsParams(0.0, 0.0, r, phi)  # range validation
-    a1, a2 = _mode_ops(d)
-    gen = r * (
-        np.exp(1j * phi) * (a1.conj().T @ a2.conj().T)
-        - np.exp(-1j * phi) * (a1 @ a2)
-    )
-    u = expm(gen)
-    defect = unitarity_defect(u)
-    if defect > max_defect:
-        raise TruncationError(
-            f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
-        )
-    return u
+    return _assemble(_sq_blocks(r, phi, d, max_defect),
+                     sectors(d, DIFFERENCE), d * d)
 
 
 def family_dm(point: FamilyPoint, d: int,
               max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
     """Truncated density matrix of a family point."""
     p = point.params
-    rho = thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
+    if point.tag not in (MTS, STS):
+        return thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
+    w, thermal_deficit = _thermal_spectrum(p.n1, p.n2, d, max_deficit)
     if point.tag == MTS:
-        u = bs_unitary(p.theta, p.phi, d)
-    elif point.tag == STS:
-        u = sq_unitary(p.r, p.phi, d)
+        conserved, blocks = TOTAL, _bs_blocks(p.theta, p.phi, d)
     else:
-        return rho
-    m = u @ rho.matrix @ u.conj().T
-    m = 0.5 * (m + m.conj().T)
+        conserved, blocks = DIFFERENCE, _sq_blocks(p.r, p.phi, d, DEFAULT_MAX_DEFECT)
+    index_sets = sectors(d, conserved)
+    rho_blocks = [(u * w[idx]) @ u.conj().T for idx, u in zip(index_sets, blocks)]
+    m = _assemble([0.5 * (b + b.conj().T) for b in rho_blocks], index_sets, d * d)
     # conjugation preserves the trace; the honest deficit is the thermal one
-    deficit = max(1.0 - float(m.trace().real), rho.trace_deficit)
-    return FockDensity(d=d, matrix=m, trace_deficit=deficit,
-                       spectrum=rho.spectrum, basis=u)
+    deficit = max(1.0 - float(m.trace().real), thermal_deficit)
+    return FockDensity(d=d, matrix=m, trace_deficit=deficit, spectrum=w,
+                       conserved=conserved, blocks=blocks)
 
 
 def _clamped_eigh(matrix: np.ndarray):
@@ -156,7 +222,9 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     Evaluated as the squared trace norm of sqrt(rho_a) sqrt(rho_b): the
     singular values of that product are the eigenvalue square roots of the
     sandwiched matrix, but carry no square-root amplification of
-    eigenvalue roundoff near zero.
+    eigenvalue roundoff near zero. States that share a sectoring are
+    compared sector by sector; a mode-mixed x squeezed pair, or a state
+    given only by its matrix, takes one dense D x D decomposition.
     """
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
@@ -166,38 +234,73 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
                 f"trace deficit {rho.trace_deficit:.3e} too large for the oracle"
             )
 
-    if rho_a.spectrum is not None and rho_b.spectrum is not None:
+    conserved = _shared_sectoring(rho_a, rho_b)
+    if conserved is not None:
         # trace norm is invariant under the outer unitaries:
         # || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
-        #   = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1
-        if rho_a.basis is None and rho_b.basis is None:
-            inner = None
-        elif rho_a.basis is None:
-            inner = rho_b.basis
-        elif rho_b.basis is None:
-            inner = rho_a.basis.conj().T
-        else:
-            inner = rho_a.basis.conj().T @ rho_b.basis
+        #   = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
+        # and the middle product is block-diagonal on the shared sectors
         sqrt_a = np.sqrt(rho_a.spectrum)
         sqrt_b = np.sqrt(rho_b.spectrum)
-        if inner is None:
-            return float(np.sum(sqrt_a * sqrt_b) ** 2)
-        product = sqrt_a[:, None] * inner * sqrt_b[None, :]
-    else:
+        return sum(_trace_norm(sqrt_a[idx, None] * inner * sqrt_b[None, idx])
+                   for idx, inner in _sector_products(rho_a, rho_b, conserved)) ** 2
+    if rho_a.spectrum is None or rho_b.spectrum is None:
         vals_a, vecs_a = _clamped_eigh(rho_a.matrix)
         vals_b, vecs_b = _clamped_eigh(rho_b.matrix)
         root_a = (vecs_a * np.sqrt(vals_a)) @ vecs_a.conj().T
         root_b = (vecs_b * np.sqrt(vals_b)) @ vecs_b.conj().T
-        product = root_a @ root_b
-    singular = np.linalg.svd(product, compute_uv=False)
-    return float(singular.sum() ** 2)
+        return _trace_norm(root_a @ root_b) ** 2
+    # mode-mixed x squeezed: dense Ub, then Ua^dag applied sector by sector
+    inner = _assemble(rho_b.blocks, sectors(rho_b.d, rho_b.conserved), rho_b.d**2)
+    for idx, ua in zip(sectors(rho_a.d, rho_a.conserved), rho_a.blocks):
+        inner[idx] = ua.conj().T @ inner[idx]
+    return _trace_norm(np.sqrt(rho_a.spectrum)[:, None] * inner
+                       * np.sqrt(rho_b.spectrum)[None, :]) ** 2
+
+
+def _shared_sectoring(rho_a: FockDensity, rho_b: FockDensity) -> str | None:
+    """Sectoring on which both spectral resolutions are block-diagonal.
+
+    None when there is none: a state without a spectral resolution, or a
+    mode-mixed x squeezed pair. A resolution without blocks is diagonal in
+    the Fock basis and fits either sectoring.
+    """
+    if rho_a.spectrum is None or rho_b.spectrum is None:
+        return None
+    kinds = {rho_a.conserved, rho_b.conserved} - {None}
+    if len(kinds) > 1:
+        return None
+    return kinds.pop() if kinds else TOTAL
+
+
+def _sector_products(rho_a: FockDensity, rho_b: FockDensity, conserved: str):
+    """Indices and Ua^dag Ub block of each sector of the shared sectoring."""
+    for idx, ua, ub in zip(sectors(rho_a.d, conserved),
+                           _unitary_blocks(rho_a, conserved),
+                           _unitary_blocks(rho_b, conserved)):
+        yield idx, ua.conj().T @ ub
+
+
+def _unitary_blocks(rho: FockDensity, conserved: str):
+    if rho.blocks is not None:
+        return rho.blocks
+    return [np.eye(len(idx)) for idx in sectors(rho.d, conserved)]
+
+
+def _trace_norm(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def overlap_fock(rho_a: FockDensity, rho_b: FockDensity) -> float:
     """Tr(rho_a rho_b) on the truncated space."""
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
-    return float(np.einsum("ij,ji->", rho_a.matrix, rho_b.matrix).real)
+    conserved = _shared_sectoring(rho_a, rho_b)
+    if conserved is None:
+        return float(np.einsum("ij,ji->", rho_a.matrix, rho_b.matrix).real)
+    # Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j
+    return float(sum(rho_a.spectrum[idx] @ np.abs(inner) ** 2 @ rho_b.spectrum[idx]
+                     for idx, inner in _sector_products(rho_a, rho_b, conserved)))
 
 
 def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,

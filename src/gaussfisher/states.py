@@ -165,7 +165,11 @@ def sq_symplectic(r: float, phi: float) -> np.ndarray:
 
 
 def family_cov(point: FamilyPoint) -> np.ndarray:
-    """Covariance matrix of a family point, via symplectic congruence."""
+    """Covariance matrix of a family point, via symplectic congruence.
+
+    The congruence is symmetric in exact arithmetic; its roundoff asymmetry
+    grows with the entries, so the result is symmetrized explicitly.
+    """
     p = point.params
     base = thermal_cov(TsParams(p.n1, p.n2))
     if point.tag == TS:
@@ -174,7 +178,8 @@ def family_cov(point: FamilyPoint) -> np.ndarray:
         s = bs_symplectic(p.theta, p.phi)
     else:
         s = sq_symplectic(p.r, p.phi)
-    return s @ base @ s.T
+    m = s @ base @ s.T
+    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Each test enforces its runtime budget; the Fock-space criterion is the
-long one (a few minutes of dense linear algebra).
+longest (a few seconds of sector-blocked linear algebra).
 """
 
 import math

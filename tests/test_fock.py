@@ -1,14 +1,15 @@
 """Tests for the truncated Fock-space oracle.
 
-The heavy spec-level agreement runs (d = 25 and d = 40, ten pairs each)
-live in the acceptance suite; here the operations are checked at small
-truncations.
+The spec-level agreement runs (d = 25 and d = 40, ten pairs each) live in
+the acceptance suite; here the operations are checked at small
+truncations, and the sector blocks against the dense truncated generator.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gaussfisher import closed_form as cf
 from gaussfisher import core, fock
@@ -39,6 +40,61 @@ class TestThermalDm:
     def test_deficit_guard(self):
         with pytest.raises(TruncationError):
             fock.thermal_dm(5.0, 5.0, 3)
+
+
+def dense_generator(device, x, phi, d):
+    """Truncated device generator built densely from kron mode operators;
+    the reference the sector blocks are checked against."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    if device == "bs":
+        return (x / 2.0) * (np.exp(1j * phi) * (a1 @ a2.T)
+                            - np.exp(-1j * phi) * (a1.T @ a2))
+    return x * (np.exp(1j * phi) * (a1.T @ a2.T) - np.exp(-1j * phi) * (a1 @ a2))
+
+
+class TestSectors:
+    @pytest.mark.parametrize("conserved", [fock.TOTAL, fock.DIFFERENCE])
+    @pytest.mark.parametrize("d", [2, 6, 12])
+    def test_partition_into_small_sectors(self, conserved, d):
+        blocks = fock.sectors(d, conserved)
+        assert len(blocks) == 2 * d - 1
+        assert max(len(idx) for idx in blocks) == d
+        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
+                                      np.arange(d * d))
+
+    @pytest.mark.parametrize("conserved", [fock.TOTAL, fock.DIFFERENCE])
+    def test_conserved_number_constant_per_sector(self, conserved):
+        d = 7
+        sign = 1 if conserved == fock.TOTAL else -1
+        for idx in fock.sectors(d, conserved):
+            n1, n2 = np.divmod(idx, d)
+            assert len(set(n1 + sign * n2)) == 1
+            assert np.all(np.diff(n1) == 1)
+
+    def test_unknown_quantity_rejected(self):
+        with pytest.raises(ValidationError):
+            fock.sectors(4, "n1")
+
+
+class TestBlockedUnitaries:
+    @pytest.mark.parametrize("d", [6, 12])
+    @pytest.mark.parametrize("theta, phi", [(0.3, 0.1), (1.7, -2.2), (3.1, 3.0)])
+    def test_bs_matches_dense_expm(self, d, theta, phi):
+        reference = expm(dense_generator("bs", theta, phi, d))
+        assert np.abs(fock.bs_unitary(theta, phi, d) - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [6, 12])
+    @pytest.mark.parametrize("r, phi", [(0.2, 0.4), (0.9, -1.3), (1.5, 2.8)])
+    def test_sq_matches_dense_expm(self, d, r, phi):
+        reference = expm(dense_generator("sq", r, phi, d))
+        u = fock.sq_unitary(r, phi, d, max_defect=1.0)
+        assert np.abs(u - reference).max() <= 1e-13
+
+    def test_sq_defect_guard_still_applies(self):
+        with pytest.raises(TruncationError):
+            fock.sq_unitary(1.5, 0.3, 6, max_defect=0.0)
 
 
 class TestBsUnitary:
@@ -118,6 +174,40 @@ class TestUhlmannFidelity:
         value = fock.uhlmann_fidelity(fock.family_dm(a, 20), fock.family_dm(b, 20))
         assert value == pytest.approx(cf.fidelity_special(a, b), abs=1e-6)
 
+    @pytest.fixture
+    def svd_sizes(self, monkeypatch):
+        """Sizes of the matrices whose trace norm the oracle takes."""
+        sizes = []
+        trace_norm = fock._trace_norm
+
+        def recording(m):
+            sizes.append(max(m.shape))
+            return trace_norm(m)
+
+        monkeypatch.setattr(fock, "_trace_norm", recording)
+        return sizes
+
+    def test_cross_family_takes_dense_path(self, svd_sizes):
+        d = 16
+        a = FamilyPoint.mts(0.3, 0.15, 1.2, 0.4)
+        b = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
+        general = core.fidelity_two_mode(a.to_state(), b.to_state())
+        for pair in ((a, b), (b, a)):
+            value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
+            assert value == pytest.approx(general.fidelity, abs=1e-10)
+        assert svd_sizes == [d * d, d * d]
+
+    @pytest.mark.parametrize("device", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
+                                        FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
+    def test_thermal_pair_takes_sector_path(self, device, svd_sizes):
+        d = 16
+        thermal = FamilyPoint.ts(0.25, 0.35)
+        general = core.fidelity_two_mode(thermal.to_state(), device.to_state())
+        for pair in ((thermal, device), (device, thermal)):
+            value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
+            assert value == pytest.approx(general.fidelity, abs=1e-9)
+        assert len(svd_sizes) == 2 * (2 * d - 1) and max(svd_sizes) == d
+
     def test_incompatible_truncations_rejected(self):
         with pytest.raises(ValidationError):
             fock.uhlmann_fidelity(fock.thermal_dm(0.1, 0.1, 10),
@@ -131,6 +221,17 @@ class TestOverlap:
         fock_value = fock.overlap_fock(fock.family_dm(a, 25), fock.family_dm(b, 25))
         general = core.fidelity_two_mode(a.to_state(), b.to_state()).overlap
         assert fock_value == pytest.approx(general, abs=1e-8)
+
+    @pytest.mark.parametrize("a, b", [
+        (FamilyPoint.mts(0.3, 0.1, 0.8, 0.2), FamilyPoint.mts(0.2, 0.4, 1.4, -0.9)),
+        (FamilyPoint.sts(0.2, 0.1, 0.3, 0.4), FamilyPoint.sts(0.15, 0.25, 0.2, -0.6)),
+        (FamilyPoint.ts(0.25, 0.35), FamilyPoint.sts(0.2, 0.1, 0.3, 0.4)),
+        (FamilyPoint.mts(0.3, 0.1, 0.8, 0.2), FamilyPoint.sts(0.2, 0.1, 0.3, 0.4)),
+    ])
+    def test_matches_dense_trace(self, a, b):
+        rho_a, rho_b = fock.family_dm(a, 16), fock.family_dm(b, 16)
+        dense = np.einsum("ij,ji->", rho_a.matrix, rho_b.matrix).real
+        assert fock.overlap_fock(rho_a, rho_b) == pytest.approx(dense, abs=1e-14)
 
 
 class TestSpectralThermal:

@@ -160,6 +160,17 @@ class TestFamilyCov:
                     rng.uniform(-math.pi + 1e-6, math.pi))
             assert check_physical(states.family_cov(point)).physical
 
+    @pytest.mark.parametrize("point", [
+        states.FamilyPoint.mts(1e6, 3.0, 1.0, 0.7),
+        states.FamilyPoint.sts(1e6, 4e5, 8.0, 0.3),
+    ])
+    def test_large_occupancy_is_exactly_symmetric(self, point):
+        # the congruence leaves a roundoff asymmetry far above the absolute
+        # symmetry tolerance at these scales; valid states must still load
+        cov = states.family_cov(point)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.array_equal(point.to_state().cov, cov)
+
 
 class TestStandardForm:
     def test_thermal(self):
