@@ -216,8 +216,8 @@ def cmd_curvature(args) -> int:
         try:
             values["warped"] = curvature.scalar_warped(family, args.n1, args.n2)
         except ChartDomainError as exc:
-            values["warped"] = curvature.scalar_closed(family, args.n1, args.n2)
-            warnings.append(f"warped_fallback: closed ({exc})")
+            values["warped"] = None
+            warnings.append(f"warped_unavailable: {exc}")
     if "pipeline" in methods:
         device = args.device or ([math.pi / 3.0, 0.0] if family == MTS else [0.5, 0.0])
         coordinate = device[0] if family == MTS else 2.0 * device[0]
@@ -229,13 +229,14 @@ def cmd_curvature(args) -> int:
             rows.append(("pipeline_antisymmetry_residual",
                          report.residuals["antisymmetry"]))
         except ChartDomainError as exc:
-            values["pipeline"] = curvature.scalar_closed(family, args.n1, args.n2)
-            warnings.append(f"pipeline_fallback: closed ({exc})")
+            values["pipeline"] = None
+            warnings.append(f"pipeline_unavailable: {exc}")
 
     for name in ("closed", "pipeline", "warped"):
         if name in values:
-            rows.append((f"curvature_{name}", values[name]))
-    finite = {k: v for k, v in values.items() if math.isfinite(v)}
+            value = values[name]
+            rows.append((f"curvature_{name}", "unavailable" if value is None else value))
+    finite = {k: v for k, v in values.items() if v is not None and math.isfinite(v)}
     if args.method == "all" and len(finite) >= 2:
         ref = finite.get("closed", 0.0)
         scale = abs(ref) if ref != 0.0 else 1.0

@@ -3,7 +3,9 @@
 Three independent routes are provided: a generic small-dimension Riemannian
 pipeline (Christoffel -> Riemann -> Ricci -> scalar), rational closed forms
 in the two thermal occupancies, and a warped-product expression that reuses
-the device metric component and its logarithmic derivatives. The sign
+the device metric component and its logarithmic derivatives. The metric
+fields and the warped route read the per-family table
+``geometry.FAMILY_METRICS``; the closed forms do not. The sign
 convention is fixed so the unit round sphere has scalar curvature +2.
 """
 
@@ -14,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, ValidationError
+from .geometry import FAMILY_METRICS, occupancy_qfi, occupancy_qfi_derivative
 from .states import MTS, STS
 
 # occupancy of the unique stationary point of the STS curvature surface
@@ -213,35 +216,25 @@ def scalar_warped(family_tag: str, n1: float, n2: float) -> float:
 
     Combines the constant fiber curvature (+2 sphere for MTS, -2
     hyperboloid for STS) with first and second logarithmic derivatives of
-    the device metric component in the occupancies; all derivatives are
-    analytic rational functions.
+    the device metric component u^2/D in the occupancies; all derivatives
+    are analytic rational functions.
     """
     if n1 < 0.0 or n2 < 0.0:
         raise ValidationError("mean photon numbers must be >= 0")
-    if family_tag == MTS:
-        if n1 == n2:
-            raise ChartDomainError("warped route is undefined on the MTS diagonal")
-        d = 2.0 * n1 * n2 + n1 + n2
-        h_dev = (n1 - n2) ** 2 / d
-        gap = n1 - n2
-        l1 = 2.0 / gap - (2.0 * n2 + 1.0) / d
-        l2 = -2.0 / gap - (2.0 * n1 + 1.0) / d
-        l11 = -2.0 / gap**2 + (2.0 * n2 + 1.0) ** 2 / d**2
-        l22 = -2.0 / gap**2 + (2.0 * n1 + 1.0) ** 2 / d**2
-        fiber = 8.0 / h_dev
-    elif family_tag == STS:
-        d = 2.0 * n1 * n2 + n1 + n2 + 1.0
-        s = n1 + n2 + 1.0
-        h_dev = s**2 / d
-        l1 = 2.0 / s - (2.0 * n2 + 1.0) / d
-        l2 = 2.0 / s - (2.0 * n1 + 1.0) / d
-        l11 = -2.0 / s**2 + (2.0 * n2 + 1.0) ** 2 / d**2
-        l22 = -2.0 / s**2 + (2.0 * n1 + 1.0) ** 2 / d**2
-        fiber = -8.0 / h_dev
-    else:
+    fam = FAMILY_METRICS.get(family_tag)
+    if fam is None:
         raise ValidationError(f"no warped route for family {family_tag!r}")
+    u = fam.numerator(n1, n2)
+    if u == 0.0:
+        raise ChartDomainError("warped route is undefined on the MTS diagonal")
+    d = fam.denominator(n1, n2)
+    # log H_dev = 2 log u - log D, with dD/dn1 = 2 n2 + 1 and dD/dn2 = 2 n1 + 1
+    l1 = 2.0 / u - (2.0 * n2 + 1.0) / d
+    l2 = 2.0 * fam.du_dn2 / u - (2.0 * n1 + 1.0) / d
+    l11 = -2.0 / u**2 + (2.0 * n2 + 1.0) ** 2 / d**2
+    l22 = -2.0 / u**2 + (2.0 * n1 + 1.0) ** 2 / d**2
     return (
-        fiber
+        4.0 * fam.fiber_curvature / (u**2 / d)
         - 2.0 * n1 * (n1 + 1.0) * (4.0 * l11 + 3.0 * l1**2)
         - 2.0 * n2 * (n2 + 1.0) * (4.0 * l22 + 3.0 * l2**2)
         - 4.0 * (2.0 * n1 + 1.0) * l1
@@ -287,70 +280,41 @@ def laplace_beltrami(fld: MetricField, func, point, step: float = 1e-3) -> float
 # --- metric fields -------------------------------------------------------
 
 
-def sphere_field() -> MetricField:
-    """Round metric on the unit two-sphere, chart (theta, phi)."""
+def fiber_field(family_tag: str) -> MetricField:
+    """Unit fiber dx^2 + F(x)^2 dphi^2 of a family, chart (x, phi).
+
+    The round two-sphere (F = sin, chart (theta, phi)) for MTS and the upper
+    hyperboloid sheet (F = sinh, chart (2r, phi)) for STS.
+    """
+    fam = FAMILY_METRICS.get(family_tag)
+    if fam is None:
+        raise ValidationError(f"no fiber for family {family_tag!r}")
 
     def metric(x):
-        return np.diag([1.0, math.sin(x[0]) ** 2])
+        return np.diag([1.0, fam.fiber(x[0]) ** 2])
 
     def partials(x):
         out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = math.sin(2.0 * x[0])
+        out[0, 1, 1] = fam.fiber(2.0 * x[0])
         return out
 
     def guard(x):
-        if math.sin(x[0]) ** 2 < 1e-10:
-            raise ChartDomainError("spherical chart degenerates at the poles")
+        if fam.fiber(x[0]) ** 2 < 1e-10:
+            raise ChartDomainError("fiber chart degenerates where F vanishes")
 
-    return MetricField(("theta", "phi"), metric, partials, guard)
-
-
-def hyperboloid_field() -> MetricField:
-    """Metric on the upper hyperboloid sheet, chart (tau, phi)."""
-
-    def metric(x):
-        return np.diag([1.0, math.sinh(x[0]) ** 2])
-
-    def partials(x):
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = math.sinh(2.0 * x[0])
-        return out
-
-    def guard(x):
-        if math.sinh(x[0]) ** 2 < 1e-10:
-            raise ChartDomainError("hyperbolic chart degenerates at tau = 0")
-
-    return MetricField(("tau", "phi"), metric, partials, guard)
-
-
-def euclidean_field(dim: int = 2) -> MetricField:
-    """Flat Euclidean metric in Cartesian coordinates."""
-    names = tuple(f"x{i}" for i in range(dim))
-    return MetricField(
-        names,
-        lambda x: np.eye(dim),
-        lambda x: np.zeros((dim, dim, dim)),
-    )
-
-
-def _occupancy_metric_entry(n: float) -> float:
-    return 0.25 / (n * (n + 1.0))
-
-
-def _occupancy_metric_derivative(n: float) -> float:
-    return -0.25 * (2.0 * n + 1.0) / (n * (n + 1.0)) ** 2
+    return MetricField(fam.coords[2:], metric, partials, guard)
 
 
 def thermal_field() -> MetricField:
     """Bures metric on the two-dimensional thermal manifold, chart (n1, n2)."""
 
     def metric(x):
-        return np.diag([_occupancy_metric_entry(x[0]), _occupancy_metric_entry(x[1])])
+        return 0.25 * np.diag([occupancy_qfi(x[0]), occupancy_qfi(x[1])])
 
     def partials(x):
         out = np.zeros((2, 2, 2))
-        out[0, 0, 0] = _occupancy_metric_derivative(x[0])
-        out[1, 1, 1] = _occupancy_metric_derivative(x[1])
+        out[0, 0, 0] = 0.25 * occupancy_qfi_derivative(x[0])
+        out[1, 1, 1] = 0.25 * occupancy_qfi_derivative(x[1])
         return out
 
     def guard(x):
@@ -364,89 +328,46 @@ def family_metric_field(family_tag: str) -> MetricField:
     """Bures metric field on a 4d family chart, with analytic partials.
 
     The domain guard enforces the pipeline working region: occupancies and
-    their gap (MTS) away from chart degeneracies, device parameter away
-    from the H_phi = 0 locus.
+    the device numerator u (the MTS gap n1 - n2) away from zero, device
+    coordinate away from the ends of its chart range.
     """
-    if family_tag == MTS:
-
-        def device(x):
-            n1, n2 = x[0], x[1]
-            return (n1 - n2) ** 2 / (2.0 * n1 * n2 + n1 + n2)
-
-        def device_grad(x):
-            n1, n2 = x[0], x[1]
-            d = 2.0 * n1 * n2 + n1 + n2
-            gap = n1 - n2
-            d1 = (2.0 * gap * d - gap**2 * (2.0 * n2 + 1.0)) / d**2
-            d2 = (-2.0 * gap * d - gap**2 * (2.0 * n1 + 1.0)) / d**2
-            return d1, d2
-
-        def angle_factor(x):
-            return math.sin(x[2]) ** 2
-
-        def angle_factor_derivative(x):
-            return math.sin(2.0 * x[2])
-
-        def guard(x):
-            if min(x[0], x[1]) < _GUARD_OCC:
-                raise ChartDomainError("pipeline requires occupancies >= 1e-3")
-            if abs(x[0] - x[1]) < _GUARD_GAP:
-                raise ChartDomainError("pipeline requires |n1 - n2| >= 1e-3")
-            if not _GUARD_ANGLE <= x[2] <= math.pi - _GUARD_ANGLE:
-                raise ChartDomainError("pipeline requires theta inside (0, pi)")
-
-        names = ("n1", "n2", "theta", "phi")
-    elif family_tag == STS:
-
-        def device(x):
-            n1, n2 = x[0], x[1]
-            return (n1 + n2 + 1.0) ** 2 / (2.0 * n1 * n2 + n1 + n2 + 1.0)
-
-        def device_grad(x):
-            n1, n2 = x[0], x[1]
-            d = 2.0 * n1 * n2 + n1 + n2 + 1.0
-            s = n1 + n2 + 1.0
-            d1 = (2.0 * s * d - s**2 * (2.0 * n2 + 1.0)) / d**2
-            d2 = (2.0 * s * d - s**2 * (2.0 * n1 + 1.0)) / d**2
-            return d1, d2
-
-        def angle_factor(x):
-            return math.sinh(x[2]) ** 2
-
-        def angle_factor_derivative(x):
-            return math.sinh(2.0 * x[2])
-
-        def guard(x):
-            if min(x[0], x[1]) < _GUARD_OCC:
-                raise ChartDomainError("pipeline requires occupancies >= 1e-3")
-            if x[2] < _GUARD_ANGLE:
-                raise ChartDomainError("pipeline requires 2r >= 0.05")
-
-        names = ("n1", "n2", "2r", "phi")
-    else:
+    fam = FAMILY_METRICS.get(family_tag)
+    if fam is None:
         raise ValidationError(f"no 4d metric field for family {family_tag!r}")
+    name = fam.coords[2]
+    lo, hi = fam.device_range
 
     def metric(x):
-        h_dev = device(x)
-        return 0.25 * np.diag([
-            4.0 * _occupancy_metric_entry(x[0]),
-            4.0 * _occupancy_metric_entry(x[1]),
-            h_dev,
-            h_dev * angle_factor(x),
-        ])
+        return 0.25 * np.diag(fam.components(x[0], x[1], x[2]))
 
     def partials(x):
-        h_dev = device(x)
-        d1, d2 = device_grad(x)
-        af = angle_factor(x)
+        n1, n2 = x[0], x[1]
+        u = fam.numerator(n1, n2)
+        d = fam.denominator(n1, n2)
+        d1 = (2.0 * u * d - u**2 * (2.0 * n2 + 1.0)) / d**2
+        d2 = (2.0 * fam.du_dn2 * u * d - u**2 * (2.0 * n1 + 1.0)) / d**2
+        af = fam.fiber(x[2]) ** 2
         out = np.zeros((4, 4, 4))
-        out[0, 0, 0] = _occupancy_metric_derivative(x[0])
-        out[1, 1, 1] = _occupancy_metric_derivative(x[1])
+        out[0, 0, 0] = 0.25 * occupancy_qfi_derivative(n1)
+        out[1, 1, 1] = 0.25 * occupancy_qfi_derivative(n2)
         out[0, 2, 2] = 0.25 * d1
         out[1, 2, 2] = 0.25 * d2
         out[0, 3, 3] = 0.25 * d1 * af
         out[1, 3, 3] = 0.25 * d2 * af
-        out[2, 3, 3] = 0.25 * h_dev * angle_factor_derivative(x)
+        # d(F^2)/dx = F(2x) for both sin and sinh
+        out[2, 3, 3] = 0.25 * fam.device(n1, n2) * fam.fiber(2.0 * x[2])
         return out
 
-    return MetricField(names, metric, partials, guard)
+    def guard(x):
+        if min(x[0], x[1]) < _GUARD_OCC:
+            raise ChartDomainError("pipeline requires occupancies >= 1e-3")
+        # u >= 1 for STS, so only the MTS gap n1 - n2 can trip this
+        if abs(fam.numerator(x[0], x[1])) < _GUARD_GAP:
+            raise ChartDomainError("pipeline requires |n1 - n2| >= 1e-3")
+        if not lo + _GUARD_ANGLE <= x[2] <= hi - _GUARD_ANGLE:
+            raise ChartDomainError(
+                f"pipeline requires {name} at least {_GUARD_ANGLE} from the "
+                f"ends of its chart range"
+            )
+
+    return MetricField(fam.coords, metric, partials, guard)

@@ -2,13 +2,16 @@
 
 Both four-parameter families carry a diagonal QFI metric in their natural
 charts, MTS: (n1, n2, theta, phi) and STS: (n1, n2, 2r, phi). The Bures
-metric is one quarter of the QFI metric. A finite-difference metric
-extracted from the fidelity provides an independent cross-check of the
-closed forms.
+metric is one quarter of the QFI metric. One per-family table,
+:data:`FAMILY_METRICS`, defines the metric components; the closed forms
+here and the curvature module's metric fields and warped route read it. A
+finite-difference metric extracted from the fidelity provides an
+independent cross-check of the closed forms.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,14 +59,66 @@ def coord_names(tag: str):
 
 
 @dataclass(frozen=True)
+class FamilyMetric:
+    """One family's QFI diagonal diag(H_occ(n1), H_occ(n2), H_dev, H_dev F(x)^2).
+
+    The device component is H_dev = u^2 / D, with the linear numerator
+    u = n1 + (du/dn2) n2 + c and the denominator D = 2 n1 n2 + n1 + n2 + c.
+    The fiber over the device chart (x, phi) is the surface
+    dx^2 + F(x)^2 dphi^2 of constant scalar curvature ``fiber_curvature``;
+    ``device_range`` is the chart interval of x.
+    """
+
+    coords: tuple
+    du_dn2: float
+    c: float
+    fiber: Callable[[float], float]
+    fiber_curvature: float
+    device_range: tuple
+    chart_device: Callable[[object], float]
+
+    def numerator(self, n1: float, n2: float) -> float:
+        return n1 + self.du_dn2 * n2 + self.c
+
+    def denominator(self, n1: float, n2: float) -> float:
+        return 2.0 * n1 * n2 + n1 + n2 + self.c
+
+    def device(self, n1: float, n2: float) -> float:
+        """H_dev; zero at the MTS vacuum, where u and D both vanish."""
+        d = self.denominator(n1, n2)
+        return 0.0 if d == 0.0 else self.numerator(n1, n2) ** 2 / d
+
+    def components(self, n1: float, n2: float, x: float) -> tuple:
+        """The four QFI components at occupancies (n1, n2) and device coordinate x."""
+        h_dev = self.device(n1, n2)
+        return occupancy_qfi(n1), occupancy_qfi(n2), h_dev, h_dev * self.fiber(x) ** 2
+
+
+# MTS: beam splitter, unit-sphere fiber (theta, phi); STS: two-mode squeezer,
+# unit-hyperboloid fiber (2r, phi)
+FAMILY_METRICS = {
+    MTS: FamilyMetric(MTS_COORDS, -1.0, 0.0, math.sin, 2.0, (0.0, math.pi),
+                      lambda p: p.theta),
+    STS: FamilyMetric(STS_COORDS, 1.0, 1.0, math.sinh, -2.0, (0.0, math.inf),
+                      lambda p: 2.0 * p.r),
+}
+
+
+def occupancy_qfi(n: float) -> float:
+    """Occupancy component H_occ(n) = 1/(n(n+1)) shared by all three families."""
+    return math.inf if n == 0.0 else 1.0 / (n * (n + 1.0))
+
+
+def occupancy_qfi_derivative(n: float) -> float:
+    return -(2.0 * n + 1.0) / (n * (n + 1.0)) ** 2
+
+
+@dataclass(frozen=True)
 class QfiDiagonal:
     """Chart tag plus the four diagonal QFI components."""
 
     chart: str
     h: dict
-
-    def component(self, name: str) -> float:
-        return self.h[name]
 
 
 @dataclass(frozen=True)
@@ -84,66 +139,35 @@ class MetricMatrix:
             raise ValidationError(f"unknown metric convention {self.convention!r}")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
-    def as_qfi(self) -> "MetricMatrix":
-        if self.convention == "qfi":
-            return self
-        return MetricMatrix(4.0 * self.matrix, self.coords, "qfi")
-
-    def as_bures(self) -> "MetricMatrix":
-        if self.convention == "bures":
-            return self
-        return MetricMatrix(0.25 * self.matrix, self.coords, "bures")
-
-
-def _occupancy_component(n: float) -> float:
-    return math.inf if n == 0.0 else 1.0 / (n * (n + 1.0))
-
 
 def qfi_closed(point: FamilyPoint) -> QfiDiagonal:
     """Diagonal QFI components in the natural chart; phi-independent."""
+    fam = FAMILY_METRICS.get(point.tag)
+    if fam is None:
+        raise ChartDomainError(
+            "thermal points live on a two-dimensional chart; use ts_metric"
+        )
     p = point.params
-    if point.tag == MTS:
-        denom = 2.0 * p.n1 * p.n2 + p.n1 + p.n2
-        h_theta = 0.0 if denom == 0.0 else (p.n1 - p.n2) ** 2 / denom
-        return QfiDiagonal(MTS, {
-            "n1": _occupancy_component(p.n1),
-            "n2": _occupancy_component(p.n2),
-            "theta": h_theta,
-            "phi": h_theta * math.sin(p.theta) ** 2,
-        })
-    if point.tag == STS:
-        denom = 2.0 * p.n1 * p.n2 + p.n1 + p.n2 + 1.0
-        h_tau = (p.n1 + p.n2 + 1.0) ** 2 / denom
-        return QfiDiagonal(STS, {
-            "n1": _occupancy_component(p.n1),
-            "n2": _occupancy_component(p.n2),
-            "2r": h_tau,
-            "phi": h_tau * math.sinh(2.0 * p.r) ** 2,
-        })
-    raise ChartDomainError(
-        "thermal points live on a two-dimensional chart; use ts_metric"
-    )
+    return QfiDiagonal(point.tag, dict(zip(
+        fam.coords, fam.components(p.n1, p.n2, fam.chart_device(p)))))
 
 
 def ts_metric(n1: float, n2: float) -> MetricMatrix:
     """Bures metric on the two-dimensional thermal manifold."""
     if n1 <= 0.0 or n2 <= 0.0:
         raise ChartDomainError("thermal metric diverges at zero occupancy")
-    g = np.diag([0.25 / (n1 * (n1 + 1.0)), 0.25 / (n2 * (n2 + 1.0))])
+    g = 0.25 * np.diag([occupancy_qfi(n1), occupancy_qfi(n2)])
     return MetricMatrix(g, ("n1", "n2"), "bures")
 
 
 def warping_function(tag: str, n1: float, n2: float) -> float:
     """Warping factor f(n1, n2): half the square root of the device component."""
-    if tag == MTS:
-        denom = 2.0 * n1 * n2 + n1 + n2
-        if denom == 0.0:
-            raise ChartDomainError("warping undefined at the vacuum point")
-        return 0.5 * math.sqrt((n1 - n2) ** 2 / denom)
-    if tag == STS:
-        denom = 2.0 * n1 * n2 + n1 + n2 + 1.0
-        return 0.5 * math.sqrt((n1 + n2 + 1.0) ** 2 / denom)
-    raise ValidationError(f"no warping function for family {tag!r}")
+    fam = FAMILY_METRICS.get(tag)
+    if fam is None:
+        raise ValidationError(f"no warping function for family {tag!r}")
+    if fam.denominator(n1, n2) == 0.0:
+        raise ChartDomainError("warping undefined at the vacuum point")
+    return 0.5 * math.sqrt(fam.device(n1, n2))
 
 
 def _interior_guard(point: FamilyPoint, h: np.ndarray):
@@ -231,11 +255,6 @@ def jeffreys_prior_sts_closed(n1: float, n2: float, r: float) -> float:
     if r_s == 0.0:
         raise ChartDomainError("Jeffreys prior diverges at zero threshold")
     return 4.0 * math.sinh(2.0 * r) / math.sinh(4.0 * r_s)
-
-
-def volume_element_density(point: FamilyPoint) -> float:
-    """Bures volume-element density: sqrt(det g) = Jeffreys prior / 16."""
-    return jeffreys_prior(point) / 16.0
 
 
 def cramer_rao(h: QfiDiagonal, n_measurements: int) -> dict:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 class Tolerances:
     # symmetry slack for covariance-matrix input, absolute
     sym: float = 1e-12
-    # physicality: smallest eigenvalue of V + (i/2)J may undershoot by this much
+    # physicality: smallest eigenvalue of V + (i/2)J may undershoot by this much,
+    # on top of the eigensolver roundoff allowed in core.check_physical
     psd: float = 1e-10
     # |det(V + iJ/2)| below this counts as the physicality edge
     edge: float = 1e-9

@@ -382,8 +382,8 @@ def curvature_suite(seed: int):
     _check(results, "closed-form curvature anchors", max(anchors), 1e-12)
 
     calib = [
-        abs(curvature.scalar_curvature_pipeline(curvature.sphere_field(), [1.1, 0.4]).scalar_r - 2.0),
-        abs(curvature.scalar_curvature_pipeline(curvature.hyperboloid_field(), [0.9, -0.6]).scalar_r + 2.0),
+        abs(curvature.scalar_curvature_pipeline(curvature.fiber_field("MTS"), [1.1, 0.4]).scalar_r - 2.0),
+        abs(curvature.scalar_curvature_pipeline(curvature.fiber_field("STS"), [0.9, -0.6]).scalar_r + 2.0),
         abs(curvature.scalar_curvature_pipeline(curvature.thermal_field(), [1.3, 0.7]).scalar_r),
     ]
     _check(results, "constant-curvature calibration", max(calib), 1e-6)

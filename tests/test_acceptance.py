@@ -127,9 +127,9 @@ def test_criterion_4_curvature_three_way_agreement():
 
 
 def test_criterion_5_constant_curvature_calibration():
-    sphere = curvature.scalar_curvature_pipeline(curvature.sphere_field(), [1.1, 0.4])
+    sphere = curvature.scalar_curvature_pipeline(curvature.fiber_field("MTS"), [1.1, 0.4])
     assert sphere.scalar_r == pytest.approx(2.0, abs=1e-6)
-    hyper = curvature.scalar_curvature_pipeline(curvature.hyperboloid_field(),
+    hyper = curvature.scalar_curvature_pipeline(curvature.fiber_field("STS"),
                                                 [0.9, -0.6])
     assert hyper.scalar_r == pytest.approx(-2.0, abs=1e-6)
     thermal = curvature.scalar_curvature_pipeline(curvature.thermal_field(),

@@ -144,10 +144,21 @@ class TestCurvatureCommand:
         assert float(report["max_residual"]) < 1e-3
 
     def test_pipeline_fallback_at_degenerate_point(self, capsys):
+        # the closed-form value (0.0 here) must not stand in for the pipeline
         assert cli.main(["curvature", "MTS", "0.5", "0.5", "--method", "pipeline"]) == 0
         report = parse_report(capsys.readouterr().out)
-        assert "warning_0" in report
-        assert "fallback" in report["warning_0"]
+        assert report["curvature_pipeline"] == "unavailable"
+        assert report["warning_0"].startswith("pipeline_unavailable: ")
+
+    def test_method_all_at_degenerate_point(self, capsys):
+        assert cli.main(["curvature", "MTS", "0.5", "0.5", "--method", "all"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["curvature_closed"]) == pytest.approx(0.0, abs=1e-12)
+        assert report["curvature_pipeline"] == "unavailable"
+        assert report["curvature_warped"] == "unavailable"
+        assert report["warning_0"].startswith("warped_unavailable: ")
+        assert report["warning_1"].startswith("pipeline_unavailable: ")
+        assert "max_residual" not in report
 
 
 class TestSurfaceCommand:

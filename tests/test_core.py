@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gaussfisher import core
 from gaussfisher.errors import ValidationError
-from gaussfisher.states import FamilyPoint, thermal_cov, TsParams
+from gaussfisher.states import FamilyPoint, TsParams, sq_symplectic, thermal_cov
 from gaussfisher.verification import random_physical_state
 
 
@@ -53,6 +53,20 @@ class TestCheckPhysical:
         bad[0, 1] = 1e-6
         with pytest.raises(ValidationError):
             core.check_physical(bad)
+
+    def test_large_unbalanced_sts_loads(self):
+        # entries near 4e12: the roundoff in the smallest eigenvalue (~1e-3)
+        # dwarfs the absolute psd slack
+        state = FamilyPoint.sts(1e6, 0.0, 8.0, 0.3).to_state()
+        assert state.cov.max() > 1e12
+
+    def test_large_squeezed_unphysical_rejected(self):
+        # symplectic eigenvalue 0.3 < 1/2 on one mode, entries near 1.4e10
+        s = sq_symplectic(2.0, 0.3)
+        v = s @ np.diag([0.3, 0.3, 1e9, 1e9]) @ s.T
+        report = core.check_physical(0.5 * (v + v.T))
+        assert np.abs(v).max() > 1e10
+        assert not report.physical
 
     def test_env_override_loosens_psd(self, monkeypatch):
         monkeypatch.setenv("GAUSSFISHER_PSD", "1.0")

@@ -8,8 +8,19 @@ import pytest
 from gaussfisher import curvature as cv
 from gaussfisher import geometry
 from gaussfisher.errors import ChartDomainError, ValidationError
+from gaussfisher.states import FamilyPoint
 
 NS = cv.SADDLE_OCCUPANCY
+
+
+def euclidean_field(dim: int = 2) -> cv.MetricField:
+    """Flat Euclidean metric in Cartesian coordinates."""
+    names = tuple(f"x{i}" for i in range(dim))
+    return cv.MetricField(
+        names,
+        lambda x: np.eye(dim),
+        lambda x: np.zeros((dim, dim, dim)),
+    )
 
 
 def product_r2_sphere_field():
@@ -28,12 +39,12 @@ def product_r2_sphere_field():
 
 class TestChristoffel:
     def test_euclidean_vanishes(self):
-        gamma = cv.christoffel(cv.euclidean_field(3), [0.2, -0.4, 1.0])
+        gamma = cv.christoffel(euclidean_field(3), [0.2, -0.4, 1.0])
         assert np.abs(gamma).max() == 0.0
 
     def test_sphere_textbook_value(self):
         theta = 1.1
-        gamma = cv.christoffel(cv.sphere_field(), [theta, 0.4])
+        gamma = cv.christoffel(cv.fiber_field("MTS"), [theta, 0.4])
         assert gamma[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta),
                                                rel=1e-12)
         assert gamma[1, 0, 1] == pytest.approx(math.cos(theta) / math.sin(theta),
@@ -49,17 +60,17 @@ class TestChristoffel:
 
     def test_singular_metric_rejected(self):
         with pytest.raises(ChartDomainError):
-            cv.christoffel(cv.sphere_field(), [1e-9, 0.0])
+            cv.christoffel(cv.fiber_field("MTS"), [1e-9, 0.0])
 
 
 class TestConstantCurvature:
     def test_sphere(self):
-        report = cv.scalar_curvature_pipeline(cv.sphere_field(), [1.1, 0.4])
+        report = cv.scalar_curvature_pipeline(cv.fiber_field("MTS"), [1.1, 0.4])
         assert report.scalar_r == pytest.approx(2.0, abs=1e-6)
         assert report.residuals["antisymmetry"] < 1e-8
 
     def test_hyperboloid(self):
-        report = cv.scalar_curvature_pipeline(cv.hyperboloid_field(), [0.9, -0.6])
+        report = cv.scalar_curvature_pipeline(cv.fiber_field("STS"), [0.9, -0.6])
         assert report.scalar_r == pytest.approx(-2.0, abs=1e-6)
 
     def test_thermal_manifold_is_flat(self):
@@ -181,14 +192,47 @@ class TestScalarWarped:
 
 class TestLaplaceBeltrami:
     def test_euclidean_quadratic(self):
-        value = cv.laplace_beltrami(cv.euclidean_field(2),
+        value = cv.laplace_beltrami(euclidean_field(2),
                                     lambda x: x[0] ** 2 + x[1] ** 2, [0.3, 0.7])
         assert value == pytest.approx(4.0, rel=1e-9)
 
     def test_euclidean_harmonic(self):
-        value = cv.laplace_beltrami(cv.euclidean_field(2),
+        value = cv.laplace_beltrami(euclidean_field(2),
                                     lambda x: x[0] ** 2 - x[1] ** 2, [0.3, 0.7])
         assert value == pytest.approx(0.0, abs=1e-8)
+
+
+class TestMetricTable:
+    @pytest.mark.parametrize("tag", ["MTS", "STS", "TS"])
+    def test_analytic_partials_match_differences(self, tag, rng):
+        fld = cv.thermal_field() if tag == "TS" else cv.family_metric_field(tag)
+        for _ in range(10):
+            x = np.array([rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+                          rng.uniform(0.3, 2.8), rng.uniform(-2.0, 2.0)])[:fld.dim]
+            analytic = fld.partials(x)
+            numeric = cv._numeric_partials(fld.metric, x, 1e-3)
+            scale = np.abs(analytic).max()
+            assert np.abs(analytic - numeric).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("tag", ["MTS", "STS"])
+    def test_fiber_curvature_matches_fiber_function(self, tag):
+        report = cv.scalar_curvature_pipeline(cv.fiber_field(tag), [1.1, 0.4])
+        assert report.scalar_r == pytest.approx(
+            geometry.FAMILY_METRICS[tag].fiber_curvature, abs=1e-6)
+
+    @pytest.mark.parametrize("tag", ["MTS", "STS"])
+    def test_field_is_quarter_qfi(self, tag, rng):
+        fld = cv.family_metric_field(tag)
+        for _ in range(10):
+            n1, n2 = rng.uniform(0.1, 3.0, 2)
+            dev, phi = rng.uniform(0.3, 2.8), rng.uniform(-2.0, 2.0)
+            if tag == "MTS":
+                point = FamilyPoint.mts(n1, n2, dev, phi)
+            else:
+                point = FamilyPoint.sts(n1, n2, dev / 2.0, phi)
+            h = geometry.qfi_closed(point).h
+            bures = np.diag(fld.metric(geometry.chart_coords(point)))
+            assert list(4.0 * bures) == [h[k] for k in fld.coords]
 
 
 class TestFamilyPipeline:

@@ -65,12 +65,6 @@ class TestTsMetric:
 
 
 class TestMetricMatrix:
-    def test_qfi_is_four_times_bures(self):
-        bures = geometry.ts_metric(1.0, 2.0)
-        qfi = bures.as_qfi()
-        np.testing.assert_array_equal(qfi.matrix, 4.0 * bures.matrix)
-        np.testing.assert_array_equal(qfi.as_bures().matrix, bures.matrix)
-
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             geometry.MetricMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -159,11 +153,6 @@ class TestJeffreysPrior:
     def test_zero_occupancy_diverges(self):
         with pytest.raises(ChartDomainError):
             geometry.jeffreys_prior(FamilyPoint.sts(0.0, 1.0, 0.5, 0.0))
-
-    def test_volume_element_proportionality(self):
-        point = FamilyPoint.sts(1.0, 0.5, 0.6, 0.2)
-        assert geometry.volume_element_density(point) == pytest.approx(
-            geometry.jeffreys_prior(point) / 16.0)
 
 
 class TestCramerRao:
