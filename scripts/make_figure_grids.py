@@ -31,7 +31,7 @@ def main() -> int:
         # the perpendicular sections have fixed domains; leave them alone
         if args.value_range and figure not in ("2b", "4b"):
             cmd += ["--range", args.value_range]
-        if args.count:
+        if args.count is not None:
             cmd += ["--count", str(args.count)]
         status = gaussfisher_main(cmd)
         if status != 0:

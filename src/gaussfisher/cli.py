@@ -283,7 +283,7 @@ def _grid_values(args, default_range, default_count):
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ValidationError("--range bounds must be numbers") from exc
-    count = args.count or default_count
+    count = default_count if args.count is None else args.count
     if count < 2:
         raise ValidationError("grid needs at least 2 samples")
     if not lo < hi:
@@ -350,7 +350,9 @@ def cmd_oracle(args) -> int:
     spec_b = _load_spec(args.state_b)
     if spec_a.displaced or spec_b.displaced:
         raise ValidationError("the Fock oracle handles undisplaced states only")
-    d = args.truncation or (40 if STS in (spec_a.point.tag, spec_b.point.tag) else 25)
+    d = args.truncation
+    if d is None:
+        d = 40 if STS in (spec_a.point.tag, spec_b.point.tag) else 25
     rho_a = fock.family_dm(spec_a.point, d)
     rho_b = fock.family_dm(spec_b.point, d)
     uhlmann = fock.uhlmann_fidelity(rho_a, rho_b)

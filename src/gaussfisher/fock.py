@@ -1,15 +1,17 @@
 """Truncated Fock-space oracle for the family states.
 
-Density matrices live on a d x d per-mode photon-number grid (total
-dimension D = d^2, flat index n1 * d + n2). Each device generator conserves
-one photon-number combination: the mode mixer conserves n1 + n2, the
-two-mode squeezer n1 - n2. Grouping the flat indices by that number splits
-the truncated space into 2d - 1 sectors of sizes 1, 2, ..., d, ..., 2, 1.
-The truncated generator couples only neighbouring states of one sector, so
-it is a direct sum of tridiagonal sector blocks, and device unitaries,
-density matrices and Uhlmann products are built sector by sector from one
-matrix exponential per block. Only a mode-mixed x squeezed pair, which
-shares no sectoring, needs a dense D x D singular value decomposition.
+States live on a d x d per-mode photon-number grid (total dimension
+D = d^2, flat index n1 * d + n2). Each device generator conserves one
+photon-number combination: the mode mixer conserves n1 + n2, the two-mode
+squeezer n1 - n2. Grouping the flat indices by that number splits the
+truncated space into 2d - 1 sectors of sizes 1, 2, ..., d, ..., 2, 1. The
+truncated generator couples only neighbouring states of one sector, so it
+is a direct sum of tridiagonal sector blocks, built from one matrix
+exponential per block. A state is held as its thermal spectrum plus those
+unitary sector blocks, never as a dense D x D density matrix; Uhlmann
+fidelities and overlaps are taken sector by sector. Only a mode-mixed x
+squeezed pair, which shares no sectoring, forms one dense D x D block and
+takes one dense singular value decomposition.
 
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
@@ -25,12 +27,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NumericalConsistencyError, TruncationError, ValidationError
+from .errors import TruncationError, ValidationError
 from .states import MTS, STS, FamilyPoint, MtsParams, StsParams
 
 DEFAULT_MAX_DEFICIT = 1e-6
 DEFAULT_MAX_DEFECT = 1e-8
-_EIG_CLAMP = 1e-8
 
 TOTAL = "n1+n2"       # conserved by the mode mixer
 DIFFERENCE = "n1-n2"  # conserved by the two-mode squeezer
@@ -38,20 +39,18 @@ DIFFERENCE = "n1-n2"  # conserved by the two-mode squeezer
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Hermitian D x D density matrix with its truncation bookkeeping.
+    """Truncated density matrix U diag(spectrum) U^dag, kept spectral.
 
-    ``spectrum`` optionally carries the eigenvalues of a known spectral
-    resolution, matrix = U diag(spectrum) U^dag. U is the direct sum of the
-    unitary ``blocks`` over ``sectors(d, conserved)``, or the identity when
-    ``blocks`` is None. Constructors that build states by unitary
-    conjugation fill these in, so fidelity evaluations skip a
-    re-diagonalization and work sector by sector.
+    U is the direct sum of the unitary ``blocks`` over
+    ``sectors(d, conserved)``, or the identity when ``blocks`` is None (a
+    thermal state). No dense D x D matrix is stored: fidelities and
+    overlaps are computed from the spectrum and the blocks, and only a
+    mode-mixed x squeezed pair forms one dense D x D block.
     """
 
     d: int
-    matrix: np.ndarray
+    spectrum: np.ndarray
     trace_deficit: float
-    spectrum: np.ndarray | None = None
     conserved: str | None = None
     blocks: tuple[np.ndarray, ...] | None = None
 
@@ -107,8 +106,7 @@ def thermal_dm(n1: float, n2: float, d: int,
                max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
     """Two-mode thermal state as a product of geometric mixtures."""
     w, deficit = _thermal_spectrum(n1, n2, d, max_deficit)
-    return FockDensity(d=d, matrix=np.diag(w.astype(complex)),
-                       trace_deficit=deficit, spectrum=w)
+    return FockDensity(d=d, spectrum=w, trace_deficit=deficit)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -186,7 +184,7 @@ def sq_unitary(r: float, phi: float, d: int,
 
 def family_dm(point: FamilyPoint, d: int,
               max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
-    """Truncated density matrix of a family point."""
+    """Spectral record of a family point's truncated density matrix."""
     p = point.params
     if point.tag not in (MTS, STS):
         return thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
@@ -195,86 +193,34 @@ def family_dm(point: FamilyPoint, d: int,
         conserved, blocks = TOTAL, _bs_blocks(p.theta, p.phi, d)
     else:
         conserved, blocks = DIFFERENCE, _sq_blocks(p.r, p.phi, d, DEFAULT_MAX_DEFECT)
-    index_sets = sectors(d, conserved)
-    rho_blocks = [(u * w[idx]) @ u.conj().T for idx, u in zip(index_sets, blocks)]
-    m = _assemble([0.5 * (b + b.conj().T) for b in rho_blocks], index_sets, d * d)
-    # conjugation preserves the trace; the honest deficit is the thermal one
-    deficit = max(1.0 - float(m.trace().real), thermal_deficit)
-    return FockDensity(d=d, matrix=m, trace_deficit=deficit, spectrum=w,
+    # conjugation preserves the trace; the honest deficit is the thermal one.
+    # Tr(U W U^dag) = sum over blocks of the column norms |U_B|^2 weighted by w
+    trace = sum((np.abs(u) ** 2).sum(axis=0) @ w[idx]
+                for idx, u in zip(sectors(d, conserved), blocks))
+    deficit = max(1.0 - float(trace), thermal_deficit)
+    return FockDensity(d=d, spectrum=w, trace_deficit=deficit,
                        conserved=conserved, blocks=blocks)
 
 
-def _clamped_eigh(matrix: np.ndarray):
-    vals, vecs = np.linalg.eigh(matrix)
-    if vals[0] < -_EIG_CLAMP:
-        raise NumericalConsistencyError(
-            f"density eigenvalue {vals[0]:.3e} below -{_EIG_CLAMP:.1e}"
-        )
-    # roundoff-level eigenvalues are exact zeros; keeping them would inject
-    # sqrt(eps)-sized amplitudes into the spectral square root
-    floor = matrix.shape[0] * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-    return np.where(vals < floor, 0.0, vals), vecs
+def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
+    """Index set and Ua^dag Ub block of each piece of a pair's product.
 
-
-def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
-    """[Tr sqrt(sqrt(rho_b) rho_a sqrt(rho_b))]^2 via spectral square roots.
-
-    Evaluated as the squared trace norm of sqrt(rho_a) sqrt(rho_b): the
-    singular values of that product are the eigenvalue square roots of the
-    sandwiched matrix, but carry no square-root amplification of
-    eigenvalue roundoff near zero. States that share a sectoring are
-    compared sector by sector; a mode-mixed x squeezed pair, or a state
-    given only by its matrix, takes one dense D x D decomposition.
+    States that share a sectoring give one pair per sector; a state without
+    blocks is diagonal in the Fock basis and fits either sectoring. A
+    mode-mixed x squeezed pair shares none and gives the one dense pair
+    (slice(None), Ua^dag Ub).
     """
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
-    for rho in (rho_a, rho_b):
-        if rho.trace_deficit > DEFAULT_MAX_DEFICIT:
-            raise TruncationError(
-                f"trace deficit {rho.trace_deficit:.3e} too large for the oracle"
-            )
-
-    conserved = _shared_sectoring(rho_a, rho_b)
-    if conserved is not None:
-        # trace norm is invariant under the outer unitaries:
-        # || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
-        #   = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
-        # and the middle product is block-diagonal on the shared sectors
-        sqrt_a = np.sqrt(rho_a.spectrum)
-        sqrt_b = np.sqrt(rho_b.spectrum)
-        return sum(_trace_norm(sqrt_a[idx, None] * inner * sqrt_b[None, idx])
-                   for idx, inner in _sector_products(rho_a, rho_b, conserved)) ** 2
-    if rho_a.spectrum is None or rho_b.spectrum is None:
-        vals_a, vecs_a = _clamped_eigh(rho_a.matrix)
-        vals_b, vecs_b = _clamped_eigh(rho_b.matrix)
-        root_a = (vecs_a * np.sqrt(vals_a)) @ vecs_a.conj().T
-        root_b = (vecs_b * np.sqrt(vals_b)) @ vecs_b.conj().T
-        return _trace_norm(root_a @ root_b) ** 2
-    # mode-mixed x squeezed: dense Ub, then Ua^dag applied sector by sector
-    inner = _assemble(rho_b.blocks, sectors(rho_b.d, rho_b.conserved), rho_b.d**2)
-    for idx, ua in zip(sectors(rho_a.d, rho_a.conserved), rho_a.blocks):
-        inner[idx] = ua.conj().T @ inner[idx]
-    return _trace_norm(np.sqrt(rho_a.spectrum)[:, None] * inner
-                       * np.sqrt(rho_b.spectrum)[None, :]) ** 2
-
-
-def _shared_sectoring(rho_a: FockDensity, rho_b: FockDensity) -> str | None:
-    """Sectoring on which both spectral resolutions are block-diagonal.
-
-    None when there is none: a state without a spectral resolution, or a
-    mode-mixed x squeezed pair. A resolution without blocks is diagonal in
-    the Fock basis and fits either sectoring.
-    """
-    if rho_a.spectrum is None or rho_b.spectrum is None:
-        return None
     kinds = {rho_a.conserved, rho_b.conserved} - {None}
     if len(kinds) > 1:
-        return None
-    return kinds.pop() if kinds else TOTAL
-
-
-def _sector_products(rho_a: FockDensity, rho_b: FockDensity, conserved: str):
-    """Indices and Ua^dag Ub block of each sector of the shared sectoring."""
+        # dense Ub, then Ua^dag applied sector by sector
+        inner = _assemble(rho_b.blocks, sectors(rho_b.d, rho_b.conserved), rho_b.d**2)
+        for idx, ua in zip(sectors(rho_a.d, rho_a.conserved), rho_a.blocks):
+            inner[idx] = ua.conj().T @ inner[idx]
+        yield slice(None), inner
+        return
+    conserved = kinds.pop() if kinds else TOTAL
     for idx, ua, ub in zip(sectors(rho_a.d, conserved),
                            _unitary_blocks(rho_a, conserved),
                            _unitary_blocks(rho_b, conserved)):
@@ -287,20 +233,38 @@ def _unitary_blocks(rho: FockDensity, conserved: str):
     return [np.eye(len(idx)) for idx in sectors(rho.d, conserved)]
 
 
+def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
+    """[Tr sqrt(sqrt(rho_b) rho_a sqrt(rho_b))]^2 via spectral square roots.
+
+    Evaluated as the squared trace norm of sqrt(rho_a) sqrt(rho_b): the
+    singular values of that product are the eigenvalue square roots of the
+    sandwiched matrix, but carry no square-root amplification of
+    eigenvalue roundoff near zero. The trace norm is invariant under the
+    outer unitaries,
+    || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
+      = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
+    and the middle product splits into the blocks of ``_inner_blocks``.
+    """
+    for rho in (rho_a, rho_b):
+        if rho.trace_deficit > DEFAULT_MAX_DEFICIT:
+            raise TruncationError(
+                f"trace deficit {rho.trace_deficit:.3e} too large for the oracle"
+            )
+    sqrt_a = np.sqrt(rho_a.spectrum)
+    sqrt_b = np.sqrt(rho_b.spectrum)
+    return sum(_trace_norm(sqrt_a[idx, None] * inner * sqrt_b[None, idx])
+               for idx, inner in _inner_blocks(rho_a, rho_b)) ** 2
+
+
 def _trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def overlap_fock(rho_a: FockDensity, rho_b: FockDensity) -> float:
     """Tr(rho_a rho_b) on the truncated space."""
-    if rho_a.d != rho_b.d:
-        raise ValidationError("density matrices have incompatible truncations")
-    conserved = _shared_sectoring(rho_a, rho_b)
-    if conserved is None:
-        return float(np.einsum("ij,ji->", rho_a.matrix, rho_b.matrix).real)
     # Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j
     return float(sum(rho_a.spectrum[idx] @ np.abs(inner) ** 2 @ rho_b.spectrum[idx]
-                     for idx, inner in _sector_products(rho_a, rho_b, conserved)))
+                     for idx, inner in _inner_blocks(rho_a, rho_b)))
 
 
 def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,

@@ -447,8 +447,8 @@ def curvature_suite(seed: int):
 def oracle_suite(seed: int, truncation: int | None = None):
     rng = np.random.default_rng(seed)
     results = []
-    d_mts = truncation or 25
-    d_sts = truncation or 40
+    d_mts = 25 if truncation is None else truncation
+    d_sts = 40 if truncation is None else truncation
 
     worst_fid = worst_overlap = 0.0
     for _ in range(10):

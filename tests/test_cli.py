@@ -204,6 +204,12 @@ class TestSurfaceCommand:
         assert cli.main(["surface", "9"]) == 2
         capsys.readouterr()
 
+    def test_zero_count_exits_2(self, capsys):
+        # a count of 0 is a value, not a request for the default grid
+        assert cli.main(["surface", "2a", "--count", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 2 samples" in captured.err
+
 
 class TestVerifyCommand:
     def test_core_suite_passes(self, capsys):
@@ -221,6 +227,11 @@ class TestVerifyCommand:
         assert cli.main(["verify", "core"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_zero_truncation_exits_2(self, capsys):
+        assert cli.main(["verify", "oracle", "--truncation", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "at least 2" in captured.err
+
 
 class TestOracleCommand:
     def test_small_truncation_agreement(self, tmp_path, capsys):
@@ -232,6 +243,12 @@ class TestOracleCommand:
         report = parse_report(capsys.readouterr().out)
         assert float(report["closed_form_difference"]) < 1e-6
         assert float(report["trace_deficit_a"]) < 1e-6
+
+    def test_zero_truncation_exits_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", MTS_DOC)
+        assert cli.main(["oracle", a, a, "--truncation", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 2" in captured.err
 
     def test_displaced_states_rejected(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", MTS_DOC + "mean = 1, 0, 0, 0\n")

@@ -5,6 +5,7 @@ the acceptance suite; here the operations are checked at small
 truncations, and the sector blocks against the dense truncated generator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,23 @@ from scipy.linalg import expm
 from gaussfisher import closed_form as cf
 from gaussfisher import core, fock
 from gaussfisher.errors import TruncationError, ValidationError
-from gaussfisher.states import FamilyPoint
+from gaussfisher.states import MTS, STS, FamilyPoint
+
+
+def dense_matrix(point, d):
+    """Dense U diag(w) U^dag of a family point; the reference the spectral
+    records are checked against. w is the record's spectrum, U comes from
+    bs_unitary / sq_unitary (checked against the kron-built expm below), or
+    is the identity for a thermal state."""
+    w = fock.family_dm(point, d).spectrum
+    p = point.params
+    if point.tag == MTS:
+        u = fock.bs_unitary(p.theta, p.phi, d)
+    elif point.tag == STS:
+        u = fock.sq_unitary(p.r, p.phi, d)
+    else:
+        return np.diag(w.astype(complex))
+    return (u * w) @ u.conj().T
 
 
 class TestThermalDm:
@@ -22,12 +39,12 @@ class TestThermalDm:
         rho = fock.thermal_dm(0.0, 0.0, 6)
         expected = np.zeros((36, 36))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(rho.matrix, expected)
+        np.testing.assert_allclose(dense_matrix(FamilyPoint.ts(0.0, 0.0), 6), expected)
         assert rho.trace_deficit == 0.0
 
     def test_single_mode_weights(self):
         rho = fock.thermal_dm(1.0, 0.0, 30)
-        diag = np.diag(rho.matrix).real.reshape(30, 30)
+        diag = np.diag(dense_matrix(FamilyPoint.ts(1.0, 0.0), 30)).real.reshape(30, 30)
         np.testing.assert_allclose(diag[:, 0], 0.5 ** (np.arange(30) + 1.0),
                                    rtol=1e-12)
         assert rho.trace_deficit < 1e-9
@@ -106,10 +123,10 @@ class TestBsUnitary:
         assert fock.unitarity_defect(u) < 1e-12
 
     def test_balanced_thermal_invariant(self):
-        rho = fock.thermal_dm(0.4, 0.4, 15)
+        rho = dense_matrix(FamilyPoint.ts(0.4, 0.4), 15)
         u = fock.bs_unitary(1.1, 0.7, 15)
-        conjugated = u @ rho.matrix @ u.conj().T
-        assert np.abs(conjugated - rho.matrix).max() < 1e-12
+        conjugated = u @ rho @ u.conj().T
+        assert np.abs(conjugated - rho).max() < 1e-12
 
 
 class TestSqUnitary:
@@ -153,12 +170,12 @@ class TestUhlmannFidelity:
 
     def test_pure_vs_mixed_is_expectation(self):
         d = 20
-        u = fock.sq_unitary(0.4, 0.1, d)
-        psi = u[:, 0]
-        pure = fock.FockDensity(d=d, matrix=np.outer(psi, psi.conj()),
-                                trace_deficit=0.0)
+        # a squeezed vacuum is the pure state |psi> = S |0, 0>
+        pure = fock.family_dm(FamilyPoint.sts(0.0, 0.0, 0.4, 0.1), d)
+        psi = fock.sq_unitary(0.4, 0.1, d)[:, 0]
         mixed = fock.thermal_dm(0.3, 0.2, d)
-        expectation = float((psi.conj() @ mixed.matrix @ psi).real)
+        thermal = dense_matrix(FamilyPoint.ts(0.3, 0.2), d)
+        expectation = float((psi.conj() @ thermal @ psi).real)
         assert fock.uhlmann_fidelity(pure, mixed) == pytest.approx(
             expectation, rel=1e-8)
 
@@ -230,8 +247,29 @@ class TestOverlap:
     ])
     def test_matches_dense_trace(self, a, b):
         rho_a, rho_b = fock.family_dm(a, 16), fock.family_dm(b, 16)
-        dense = np.einsum("ij,ji->", rho_a.matrix, rho_b.matrix).real
+        dense = np.einsum("ij,ji->", dense_matrix(a, 16), dense_matrix(b, 16)).real
         assert fock.overlap_fock(rho_a, rho_b) == pytest.approx(dense, abs=1e-14)
+
+
+class TestSpectralRecord:
+    @pytest.mark.parametrize("point", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
+                                       FamilyPoint.sts(0.2, 0.1, 0.3, -0.8),
+                                       FamilyPoint.ts(0.25, 0.35)])
+    def test_family_dm_stores_no_dense_matrix(self, point):
+        d = 40
+        rho = fock.family_dm(point, d)
+        values = [getattr(rho, field.name) for field in dataclasses.fields(rho)]
+        arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)]
+        assert arrays and max(a.size for a in arrays) < d ** 4
+
+    @pytest.mark.parametrize("point", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
+                                       FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
+    def test_trace_deficit_matches_dense_trace(self, point):
+        d = 20
+        dense_deficit = 1.0 - np.trace(dense_matrix(point, d)).real
+        assert fock.family_dm(point, d).trace_deficit == pytest.approx(
+            dense_deficit, abs=1e-15)
 
 
 class TestSpectralThermal:
