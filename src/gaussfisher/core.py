@@ -273,10 +273,15 @@ def classical_fidelity(p, q) -> dict:
     for name, vec in (("p", p), ("q", q)):
         if abs(vec.sum() - 1.0) > tol.prob_norm:
             raise ValidationError(f"{name} not normalized (sum {vec.sum()!r})")
-    affinity = float(np.sqrt(p * q).sum())
+    sp, sq = np.sqrt(p), np.sqrt(q)
+    affinity = float((sp * sq).sum())
     f_cl = min(affinity**2, 1.0)
+    # Summing (sqrt p - sqrt q)^2 directly avoids the cancellation in
+    # sqrt(2 - 2 affinity) near p = q, which leaves ~1.5e-8 for equal inputs;
+    # the angle follows from the chord as 2 arcsin(d_h / 2).
+    d_h = float(np.sqrt(((sp - sq) ** 2).sum()))
     return {
         "f_cl": f_cl,
-        "d_bw": float(np.arccos(np.sqrt(f_cl))),
-        "d_h": float(np.sqrt(2.0 - 2.0 * np.sqrt(f_cl))),
+        "d_bw": float(2.0 * np.arcsin(min(d_h / 2.0, 1.0))),
+        "d_h": d_h,
     }

@@ -212,6 +212,14 @@ class TestClassicalFidelity:
         assert out["d_bw"] == pytest.approx(0.0, abs=1e-7)
         assert out["d_h"] == pytest.approx(0.0, abs=1e-7)
 
+    def test_equal_uniform_distances_vanish(self):
+        # the affinity of these rounds to 1 - 2^-53, which 2 - 2 affinity
+        # turned into a distance of 1.5e-8
+        p = np.full(5, 0.8644823477329376) / (5 * 0.8644823477329376)
+        out = core.classical_fidelity(p, np.roll(p, 1))
+        assert out["d_h"] == pytest.approx(0.0, abs=1e-12)
+        assert out["d_bw"] == pytest.approx(0.0, abs=1e-12)
+
     def test_disjoint_supports(self):
         out = core.classical_fidelity([1.0, 0.0], [0.0, 1.0])
         assert out["f_cl"] == 0.0
