@@ -163,6 +163,8 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    if args.measurements < 1:
+        raise ValidationError("number of measurements must be a positive integer")
     spec = _load_spec(args.state)
     if spec.point.tag == TS:
         raise ValidationError(
@@ -185,18 +187,12 @@ def cmd_metric(args) -> int:
     except ChartDomainError:
         rows.append(("jeffreys_prior", math.inf))
     if args.numeric:
-        metric = geometry.numeric_metric(spec.point, step=args.step)
-        closed_diag = np.array([diag.h[name] / 4.0 for name in names])
-        numeric_diag = np.diag(metric.matrix)
-        off = metric.matrix - np.diag(numeric_diag)
-        deviation = max(
-            float(np.max(np.abs(numeric_diag - closed_diag) / closed_diag)),
-            float(np.abs(off).max()),
-        )
+        metric, diag_deviation, off_diagonal = verification.metric_deviation(
+            spec.point, step=args.step)
         for i, name in enumerate(names):
             rows.append((f"numeric_bures_row_{name}",
                          ", ".join(repr(float(v)) for v in metric.matrix[i])))
-        rows.append(("numeric_max_deviation", deviation))
+        rows.append(("numeric_max_deviation", max(diag_deviation, off_diagonal)))
     _emit_report(rows, args.out)
     return 0
 
@@ -205,12 +201,14 @@ def cmd_curvature(args) -> int:
     family = args.family.upper()
     if family not in (MTS, STS):
         raise ValidationError("curvature is defined for the MTS and STS families")
+    if not all(math.isfinite(v) for v in [args.n1, args.n2, args.step, *(args.device or [])]):
+        raise ValidationError("n1, n2, --device and --step must be finite numbers")
     methods = ("closed", "pipeline", "warped") if args.method == "all" else (args.method,)
     rows = [("family", family), ("n1", args.n1), ("n2", args.n2), ("method", args.method)]
     values = {}
     warnings = []
 
-    if "closed" in methods or args.method == "all":
+    if "closed" in methods:
         values["closed"] = curvature.scalar_closed(family, args.n1, args.n2)
     if "warped" in methods:
         try:

@@ -29,7 +29,6 @@ def fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float) -> float:
 class PairInvariants:
     k_plus: float
     k_minus: float
-    source: str
 
     def __post_init__(self):
         if self.k_plus - self.k_minus < 2.0 - current_tol().invariant:
@@ -52,7 +51,7 @@ def _k_pair_thermal(n1a, n2a, n1b, n2b):
 
 def pair_invariants_ts(a, b) -> PairInvariants:
     k_plus, k_minus = _k_pair_thermal(a.n1, a.n2, b.n1, b.n2)
-    return PairInvariants(k_plus, k_minus, TS)
+    return PairInvariants(k_plus, k_minus)
 
 
 def pair_invariants_mts(a: MtsParams, b: MtsParams) -> PairInvariants:
@@ -66,7 +65,7 @@ def pair_invariants_mts(a: MtsParams, b: MtsParams) -> PairInvariants:
         b.theta
     ) * (1.0 - math.cos(a.phi - b.phi))
     k_minus = k_minus_t - (a.n1 - a.n2) * (b.n1 - b.n2) * device
-    return PairInvariants(k_plus, max(k_minus, 0.0), MTS)
+    return PairInvariants(k_plus, max(k_minus, 0.0))
 
 
 def pair_invariants_sts(a: StsParams, b: StsParams) -> PairInvariants:
@@ -84,7 +83,7 @@ def pair_invariants_sts(a: StsParams, b: StsParams) -> PairInvariants:
     ) * (1.0 - math.cos(a.phi - b.phi))
     k_plus = k_plus_cross + (a.n1 + a.n2 + 1.0) * (b.n1 + b.n2 + 1.0) * device
     _, k_minus = _k_pair_thermal(a.n1, a.n2, b.n1, b.n2)
-    return PairInvariants(k_plus, k_minus, STS)
+    return PairInvariants(k_plus, k_minus)
 
 
 _PAIR_DISPATCH = {

@@ -111,6 +111,8 @@ def scalar_curvature_pipeline(fld: MetricField, point, step: float = 1e-3) -> Cu
     evaluator), then contracted twice. The recorded ``antisymmetry``
     residual is the largest violation of R^i_j(kl) = -R^i_j(lk).
     """
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be positive and finite")
     x = np.asarray(point, dtype=float)
     fld.check_domain(x)
     g = np.asarray(fld.metric(x), dtype=float)

@@ -115,19 +115,17 @@ def occupancy_qfi_derivative(n: float) -> float:
 
 @dataclass(frozen=True)
 class QfiDiagonal:
-    """Chart tag plus the four diagonal QFI components."""
+    """The four diagonal QFI components, keyed by chart coordinate."""
 
-    chart: str
     h: dict
 
 
 @dataclass(frozen=True)
 class MetricMatrix:
-    """Metric tensor over a declared chart, in Bures or QFI convention."""
+    """Bures metric tensor over a declared chart."""
 
     matrix: np.ndarray
     coords: tuple
-    convention: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -135,8 +133,6 @@ class MetricMatrix:
             raise ValidationError("metric shape does not match the chart")
         if np.abs(m - m.T).max() > 1e-9 * (1.0 + np.abs(m).max()):
             raise ValidationError("metric matrix must be symmetric")
-        if self.convention not in ("bures", "qfi"):
-            raise ValidationError(f"unknown metric convention {self.convention!r}")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
 
@@ -148,7 +144,7 @@ def qfi_closed(point: FamilyPoint) -> QfiDiagonal:
             "thermal points live on a two-dimensional chart; use ts_metric"
         )
     p = point.params
-    return QfiDiagonal(point.tag, dict(zip(
+    return QfiDiagonal(dict(zip(
         fam.coords, fam.components(p.n1, p.n2, fam.chart_device(p)))))
 
 
@@ -157,7 +153,7 @@ def ts_metric(n1: float, n2: float) -> MetricMatrix:
     if n1 <= 0.0 or n2 <= 0.0:
         raise ChartDomainError("thermal metric diverges at zero occupancy")
     g = 0.25 * np.diag([occupancy_qfi(n1), occupancy_qfi(n2)])
-    return MetricMatrix(g, ("n1", "n2"), "bures")
+    return MetricMatrix(g, ("n1", "n2"))
 
 
 def warping_function(tag: str, n1: float, n2: float) -> float:
@@ -198,8 +194,8 @@ def numeric_metric(point: FamilyPoint, step: float = 1e-3) -> MetricMatrix:
     """
     if point.tag == TS:
         raise ChartDomainError("numeric metric is defined on the 4d charts")
-    if step <= 0.0:
-        raise ValidationError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be positive and finite")
     coords = chart_coords(point)
     h = step * np.maximum(1.0, np.abs(coords))
     _interior_guard(point, h)
@@ -230,7 +226,7 @@ def numeric_metric(point: FamilyPoint, step: float = 1e-3) -> MetricMatrix:
             q_plus = quad_form(basis[a] + basis[b])
             q_minus = quad_form(basis[a] - basis[b])
             g[a, b] = g[b, a] = (q_plus - q_minus) / (4.0 * h[a] * h[b])
-    return MetricMatrix(g, coord_names(point.tag), "bures")
+    return MetricMatrix(g, coord_names(point.tag))
 
 
 def jeffreys_prior(point: FamilyPoint) -> float:

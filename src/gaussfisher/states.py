@@ -20,6 +20,12 @@ MTS = "MTS"
 STS = "STS"
 
 
+def _check_occupancies(n1, n2):
+    # written so that NaN fails too
+    if not (0.0 <= n1 < math.inf and 0.0 <= n2 < math.inf):
+        raise ValidationError("mean photon numbers must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class TsParams:
     """Mean thermal photon numbers of the two modes."""
@@ -28,8 +34,7 @@ class TsParams:
     n2: float
 
     def __post_init__(self):
-        if self.n1 < 0.0 or self.n2 < 0.0:
-            raise ValidationError("mean photon numbers must be >= 0")
+        _check_occupancies(self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,7 @@ class MtsParams:
     phi: float
 
     def __post_init__(self):
-        if self.n1 < 0.0 or self.n2 < 0.0:
-            raise ValidationError("mean photon numbers must be >= 0")
+        _check_occupancies(self.n1, self.n2)
         if not 0.0 <= self.theta < math.pi:
             raise ValidationError("theta must lie in [0, pi)")
         if not -math.pi < self.phi <= math.pi:
@@ -63,10 +67,9 @@ class StsParams:
     phi: float
 
     def __post_init__(self):
-        if self.n1 < 0.0 or self.n2 < 0.0:
-            raise ValidationError("mean photon numbers must be >= 0")
-        if self.r < 0.0:
-            raise ValidationError("squeeze parameter must be >= 0")
+        _check_occupancies(self.n1, self.n2)
+        if not 0.0 <= self.r < math.inf:
+            raise ValidationError("squeeze parameter must be finite and >= 0")
         if not -math.pi < self.phi <= math.pi:
             raise ValidationError("phi must lie in (-pi, pi]")
 

@@ -1,8 +1,11 @@
-"""Seeded self-verification suites behind the ``verify`` CLI command.
+"""Seeded property checks and the self-verification suites behind ``verify``.
 
-Each suite replays the library's exact-inequality and cross-validation
-properties on pseudo-random draws and returns one result per check.
-Everything is deterministic for a fixed seed.
+Each check function draws its inputs from the generator it is given and
+returns the worst deviation it saw (a tuple where one loop measures several
+properties). The ``verify`` suites, the acceptance criteria and the unit
+tests call the same functions, each with its own seed, draw count and bound.
+A NaN deviation is returned as NaN, so it fails every bound. Everything is
+deterministic for a fixed seed.
 """
 
 import math
@@ -30,6 +33,16 @@ def _check(results, name, worst, bound, extra=""):
     if extra:
         detail += f" ({extra})"
     results.append(CheckResult(name, passed, detail))
+
+
+def _worst(values, floor=0.0) -> float:
+    """Largest of ``floor`` and ``values``; any NaN among them is returned."""
+    return float(np.max([floor, *values]))
+
+
+def _worst_columns(rows, floors):
+    """:func:`_worst` of each column of ``rows``, one floor per column."""
+    return tuple(_worst(column, floor) for column, floor in zip(zip(*rows), floors))
 
 
 # --- random draws --------------------------------------------------------
@@ -63,136 +76,126 @@ def random_physical_state(rng, displaced=False) -> core.TwoModeGaussian:
     return core.TwoModeGaussian(mean=mean, cov=s @ base @ s.T)
 
 
-def _separated_pairs(rng, count):
-    """Same-family pairs whose records differ by >= 1e-3 in one coordinate,
-    drawn in a region where every metric component is order 1e-3 or larger."""
+def random_same_family_pair(rng):
+    """Two random MTS points or two random STS points, with equal odds."""
+    if rng.random() < 0.5:
+        return random_mts(rng), random_mts(rng)
+    return random_sts(rng), random_sts(rng)
+
+
+def _displaced_pair(rng):
+    return random_physical_state(rng, displaced=True), random_physical_state(rng, displaced=True)
+
+
+def _general_fidelity(a: FamilyPoint, b: FamilyPoint) -> float:
+    return core.fidelity_two_mode(a.to_state(), b.to_state()).fidelity
+
+
+# --- general two-mode checks ---------------------------------------------
+
+
+def fidelity_properties(rng, count, draw_pair):
+    """General-route properties on ``count`` state pairs from ``draw_pair(rng)``.
+
+    Returns the worst (relative asymmetry F(a, b) vs F(b, a), F - 1,
+    overlap - F, determinant-inequality violation, relative residual of
+    the overlap proportionality identity).
+    """
+    rows = []
+    for _ in range(count):
+        a, b = draw_pair(rng)
+        fab, fba = core.fidelity_two_mode(a, b), core.fidelity_two_mode(b, a)
+        factor = 1.0 + math.sqrt(fab.k_minus / fab.delta) * (
+            math.sqrt(fab.k_plus) + math.sqrt(fab.k_minus))
+        inequality = _worst((1.0 - fab.delta, fab.delta - fab.gamma, -fab.lam,
+                             -fab.k_minus, 2.0 - (fab.k_plus - fab.k_minus)), -math.inf)
+        rows.append((abs(fab.fidelity - fba.fidelity) / fab.fidelity,
+                     fab.fidelity - 1.0, fab.overlap - fab.fidelity, inequality,
+                     abs(fab.fidelity - factor * fab.overlap) / fab.fidelity))
+    return _worst_columns(rows, (0.0, 0.0, 0.0, -math.inf, 0.0))
+
+
+def self_fidelity(rng, count, fidelity=_general_fidelity):
+    """Worst |F(x, x) - 1| over ``count`` random MTS or STS points."""
+    points = [random_mts(rng) if rng.random() < 0.5 else random_sts(rng)
+              for _ in range(count)]
+    return _worst(abs(fidelity(p, p) - 1.0) for p in points)
+
+
+def separated_records(rng, count):
+    """Largest F - (1 - 1e-9) over same-family pairs whose records differ by
+    1e-3 in one coordinate, drawn where every metric component is order 1e-3
+    or larger; negative when all such pairs stay below 1 - 1e-9."""
     pairs = []
     for _ in range(count):
         n1 = rng.uniform(1.5, 2.5)
         n2 = rng.uniform(0.2, 0.8)
         theta = rng.uniform(math.pi / 3.0, 2.0 * math.pi / 3.0)
         phi = rng.uniform(-1.5, 1.5)
-        base = FamilyPoint.mts(n1, n2, theta, phi)
-        for bump in range(4):
-            delta = [0.0] * 4
-            delta[bump] = 1e-3
-            pairs.append((base, FamilyPoint.mts(
-                n1 + delta[0], n2 + delta[1], theta + delta[2], phi + delta[3])))
-        r = rng.uniform(0.3, 1.0)
-        sbase = FamilyPoint.sts(n1, n2, r, phi)
-        for bump in range(4):
-            delta = [0.0] * 4
-            delta[bump] = 1e-3
-            pairs.append((sbase, FamilyPoint.sts(
-                n1 + delta[0], n2 + delta[1], r + delta[2], phi + delta[3])))
-    return pairs
+        base = (n1, n2, theta, phi)
+        pairs += [(FamilyPoint.mts(*base), FamilyPoint.mts(*np.add(base, bump)))
+                  for bump in 1e-3 * np.eye(4)]
+        base = (n1, n2, rng.uniform(0.3, 1.0), phi)
+        pairs += [(FamilyPoint.sts(*base), FamilyPoint.sts(*np.add(base, bump)))
+                  for bump in 1e-3 * np.eye(4)]
+    return _worst((cf.fidelity_special(a, b) - (1.0 - 1e-9) for a, b in pairs), -math.inf)
 
 
-# --- suites --------------------------------------------------------------
-
-
-def core_suite(seed: int):
-    rng = np.random.default_rng(seed)
-    results = []
-    draws = [(random_physical_state(rng, displaced=True),
-              random_physical_state(rng, displaced=True)) for _ in range(100)]
-
-    worst_sym = worst_bound = worst_overlap = worst_identity = 0.0
-    worst_inequality = -math.inf
-    for a, b in draws:
-        fab = core.fidelity_two_mode(a, b)
-        fba = core.fidelity_two_mode(b, a)
-        worst_sym = max(worst_sym, abs(fab.fidelity - fba.fidelity) / fab.fidelity)
-        worst_bound = max(worst_bound, fab.fidelity - 1.0)
-        worst_overlap = max(worst_overlap, fab.overlap - fab.fidelity)
-        factor = 1.0 + math.sqrt(fab.k_minus / fab.delta) * (
-            math.sqrt(fab.k_plus) + math.sqrt(fab.k_minus))
-        worst_identity = max(
-            worst_identity,
-            abs(fab.fidelity - factor * fab.overlap) / fab.fidelity)
-        worst_inequality = max(
-            worst_inequality,
-            1.0 - fab.delta, fab.delta - fab.gamma, -fab.lam,
-            -fab.k_minus, 2.0 - (fab.k_plus - fab.k_minus))
-    _check(results, "fidelity symmetry", worst_sym, 1e-12)
-    _check(results, "fidelity bounded by one", worst_bound, 1e-10)
-    _check(results, "fidelity at least overlap", worst_overlap, 1e-12)
-    _check(results, "determinant inequalities", worst_inequality, 1e-9)
-    _check(results, "overlap proportionality identity", worst_identity, 1e-10)
-
-    worst = 0.0
-    for _ in range(50):
-        point = random_mts(rng) if rng.random() < 0.5 else random_sts(rng)
-        state = point.to_state()
-        worst = max(worst, abs(core.fidelity_two_mode(state, state).fidelity - 1.0))
-    _check(results, "saturation at equal states", worst, 1e-10)
-
-    worst = 0.0
-    for a, b in _separated_pairs(rng, 25):
-        f = cf.fidelity_special(a, b)
-        worst = max(worst, f - (1.0 - 1e-9))
-    _check(results, "separated records stay below one", worst, 0.0,
-           extra="records differing by 1e-3 give F < 1 - 1e-9")
-
-    worst = 0.0
-    for _ in range(25):
+def pure_state_overlap(rng, count):
+    """Worst |F - overlap| between a squeezed vacuum and a mixed STS."""
+    worst = []
+    for _ in range(count):
         pure = FamilyPoint.sts(0.0, 0.0, rng.uniform(0.1, 1.0),
                                rng.uniform(-math.pi, math.pi))
         mixed = random_sts(rng, occ_high=1.0)
         f = core.fidelity_two_mode(pure.to_state(), mixed.to_state())
-        worst = max(worst, abs(f.fidelity - f.overlap))
-    _check(results, "pure-state reduction to overlap", worst, 1e-9)
+        worst.append(abs(f.fidelity - f.overlap))
+    return _worst(worst)
 
-    anchors = [
-        abs(core.distances(1.0)["bures"]), abs(core.distances(1.0)["angle"]),
-        abs(core.distances(0.0)["bures"] - math.sqrt(2.0)),
-        abs(core.distances(0.0)["angle"] - math.pi / 2.0),
-        abs(core.distances(0.25)["bures"] - 1.0),
-        abs(core.distances(0.25)["angle"] - math.pi / 3.0),
-    ]
-    _check(results, "fidelity-derived distances", max(anchors), 1e-12)
 
-    worst = 0.0
-    for _ in range(50):
+def classical_hellinger(rng, count):
+    """Worst Hellinger-distance error against the direct sum over outcomes."""
+    worst = []
+    for _ in range(count):
         p = rng.dirichlet(np.ones(6))
         q = rng.dirichlet(np.ones(6))
-        out = core.classical_fidelity(p, q)
         direct = math.sqrt(((np.sqrt(p) - np.sqrt(q)) ** 2).sum())
-        worst = max(worst, abs(out["d_h"] - direct))
-    _check(results, "classical Hellinger consistency", worst, 1e-12)
-
-    eye2 = 0.5 * np.eye(2)
-    f_half = core.fidelity_one_mode(np.zeros(2), eye2, np.zeros(2), 3.0 * eye2)
-    _check(results, "one-mode thermal fidelity", abs(f_half - 0.5), 1e-12)
-    return results
+        worst.append(abs(core.classical_fidelity(p, q)["d_h"] - direct))
+    return _worst(worst)
 
 
-def appendix_suite(seed: int):
-    rng = np.random.default_rng(seed)
-    results = []
+# --- closed-form (appendix) checks ---------------------------------------
 
-    worst = 0.0
-    for _ in range(200):
+
+def affinity_at_least_one(rng, count):
+    """Worst violation of Q(x, y) >= 1 and of Q(x, x) = 1."""
+    worst = []
+    for _ in range(count):
         x, y = rng.uniform(0.0, 5.0, 2)
-        q = cf.q_affinity(x, y)
-        worst = max(worst, 1.0 - q)
-        worst = max(worst, abs(cf.q_affinity(x, x) - 1.0))
-    _check(results, "affinity function at least one", worst, 1e-12)
+        worst += [1.0 - cf.q_affinity(x, y), abs(cf.q_affinity(x, x) - 1.0)]
+    return _worst(worst)
 
-    worst = 0.0
-    for _ in range(50):
+
+def thermal_multiplicativity(rng, count):
+    """Worst |F_TS - F_mode1 F_mode2| against the one-mode fidelity."""
+    eye2 = np.eye(2)
+
+    def one_mode(na, nb):
+        return core.fidelity_one_mode(np.zeros(2), (na + 0.5) * eye2,
+                                      np.zeros(2), (nb + 0.5) * eye2)
+
+    worst = []
+    for _ in range(count):
         ns = rng.uniform(0.0, 3.0, 4)
-        f2 = cf.fidelity_ts(*ns)
-        eye2 = np.eye(2)
-        f1a = core.fidelity_one_mode(np.zeros(2), (ns[0] + 0.5) * eye2,
-                                     np.zeros(2), (ns[2] + 0.5) * eye2)
-        f1b = core.fidelity_one_mode(np.zeros(2), (ns[1] + 0.5) * eye2,
-                                     np.zeros(2), (ns[3] + 0.5) * eye2)
-        worst = max(worst, abs(f2 - f1a * f1b))
-    _check(results, "thermal fidelity multiplicativity", worst, 1e-12)
+        worst.append(abs(cf.fidelity_ts(*ns) - one_mode(ns[0], ns[2]) * one_mode(ns[1], ns[3])))
+    return _worst(worst)
 
-    worst = 0.0
-    for _ in range(50):
+
+def thermal_reduction(rng, count):
+    """Worst scaled distance of equal-device MTS and STS invariants from the
+    thermal pair's."""
+    worst = []
+    for _ in range(count):
         ns = rng.uniform(0.0, 3.0, 4)
         theta, phi = rng.uniform(0.05, math.pi - 0.05), rng.uniform(-math.pi, math.pi)
         r = rng.uniform(0.0, 1.2)
@@ -201,18 +204,16 @@ def appendix_suite(seed: int):
         ks = cf.pair_invariants_sts(StsParams(ns[0], ns[1], r, phi),
                                     StsParams(ns[2], ns[3], r, phi))
         kt = cf.pair_invariants_ts(TsParams(ns[0], ns[1]), TsParams(ns[2], ns[3]))
-        scale = 1.0 + kt.k_plus
-        worst = max(worst,
-                    abs(km.k_plus - kt.k_plus) / scale,
-                    abs(km.k_minus - kt.k_minus) / scale,
-                    abs(ks.k_plus - kt.k_plus) / scale,
-                    abs(ks.k_minus - kt.k_minus) / scale)
-    _check(results, "thermal reduction of pair invariants", worst, 1e-12)
+        worst += [abs(k.k_plus - kt.k_plus) / (1.0 + kt.k_plus) for k in (km, ks)]
+        worst += [abs(k.k_minus - kt.k_minus) / (1.0 + kt.k_plus) for k in (km, ks)]
+    return _worst(worst)
 
-    worst_chain = -math.inf
-    worst_one = -math.inf
-    for _ in range(200):
-        # both states ordered n1 > n2, matching the device convention
+
+def family_below_thermal(rng, count):
+    """Largest (F_family - F_thermal, F_thermal - 1) over same-family pairs
+    ordered n1 > n2, the device convention of the chain."""
+    rows = []
+    for _ in range(count):
         hi = rng.uniform(1.0, 3.0, 2)
         lo = rng.uniform(0.0, 0.9, 2)
         if rng.random() < 0.5:
@@ -221,112 +222,138 @@ def appendix_suite(seed: int):
         else:
             a = FamilyPoint.sts(hi[0], lo[0], rng.uniform(0.0, 1.2), rng.uniform(-3.0, 3.0))
             b = FamilyPoint.sts(hi[1], lo[1], rng.uniform(0.0, 1.2), rng.uniform(-3.0, 3.0))
-        f_family = cf.fidelity_special(a, b)
-        f_thermal = cf.fidelity_ts(a.params.n1, a.params.n2, b.params.n1, b.params.n2)
-        worst_chain = max(worst_chain, f_family - f_thermal)
-        worst_one = max(worst_one, f_thermal - 1.0)
-    _check(results, "family fidelity below thermal fidelity", worst_chain, 1e-9)
-    _check(results, "thermal fidelity below one", worst_one, 1e-9)
+        f_thermal = cf.fidelity_ts(hi[0], lo[0], hi[1], lo[1])
+        rows.append((cf.fidelity_special(a, b) - f_thermal, f_thermal - 1.0))
+    return _worst_columns(rows, (-math.inf, -math.inf))
 
-    worst = 0.0
-    for _ in range(40):
+
+def chain_saturation(rng, count):
+    """Worst |F_family - F_thermal| for MTS and STS pairs with equal devices."""
+    worst = []
+    for _ in range(count):
         ns = rng.uniform(0.0, 2.5, 4)
         theta = rng.uniform(0.05, math.pi - 0.05)
         phi = rng.uniform(-math.pi, math.pi)
         r = rng.uniform(0.0, 1.2)
-        fm = cf.fidelity_special(FamilyPoint.mts(ns[0], ns[1], theta, phi),
-                                 FamilyPoint.mts(ns[2], ns[3], theta, phi))
-        fs = cf.fidelity_special(FamilyPoint.sts(ns[0], ns[1], r, phi),
-                                 FamilyPoint.sts(ns[2], ns[3], r, phi))
         ft = cf.fidelity_ts(*ns)
-        worst = max(worst, abs(fm - ft), abs(fs - ft))
-    _check(results, "chain saturation at equal device settings", worst, 1e-12)
+        worst += [
+            abs(cf.fidelity_special(FamilyPoint.mts(ns[0], ns[1], theta, phi),
+                                    FamilyPoint.mts(ns[2], ns[3], theta, phi)) - ft),
+            abs(cf.fidelity_special(FamilyPoint.sts(ns[0], ns[1], r, phi),
+                                    FamilyPoint.sts(ns[2], ns[3], r, phi)) - ft),
+        ]
+    return _worst(worst)
 
+
+def device_chain(rng, count):
+    """MTS pairs ordered n1 > n2: equal beam splitters reach the thermal
+    fidelity, a theta offset of 0.3 falls below it. Returns the worst
+    |F_equal - F_thermal| and the largest F_shifted - F_thermal."""
+    rows = []
+    for _ in range(count):
+        hi = rng.uniform(1.2, 2.5, 2)
+        lo = rng.uniform(0.3, 0.9, 2)
+        theta, phi = rng.uniform(0.4, math.pi - 0.4), rng.uniform(-2.0, 2.0)
+        ft = cf.fidelity_ts(hi[0], lo[0], hi[1], lo[1])
+        a = FamilyPoint.mts(hi[0], lo[0], theta, phi)
+        equal = cf.fidelity_special(a, FamilyPoint.mts(hi[1], lo[1], theta, phi))
+        shifted = cf.fidelity_special(a, FamilyPoint.mts(hi[1], lo[1], theta + 0.3, phi))
+        rows.append((abs(equal - ft), shifted - ft))
+    return _worst_columns(rows, (0.0, -math.inf))
+
+
+def phase_dependence(rng, count):
+    """Phase sweeps phi in [0, pi] of MTS and STS pairs ordered n1 > n2, the
+    convention under which the dependence is monotone. Returns the worst
+    |F(-phi) - F(phi)| and the largest rise between neighbouring samples
+    (negative when every sweep strictly decreases)."""
     grid = np.linspace(0.0, math.pi, 9)
-    worst_even = 0.0
-    monotone = True
-    for _ in range(10):
-        # both states ordered n1 > n2, the device convention under which the
-        # phase dependence is monotone
+    rows = []
+    for _ in range(count):
         hi = rng.uniform(1.0, 2.0, 2)
         lo = rng.uniform(0.1, 0.9, 2)
-        ns = np.array([hi[0], lo[0], hi[1], lo[1]])
         theta = rng.uniform(0.4, math.pi - 0.4)
         r = rng.uniform(0.3, 1.0)
         for make in (
-            lambda s: cf.fidelity_special(FamilyPoint.mts(ns[0], ns[1], theta, 0.0),
-                                          FamilyPoint.mts(ns[2], ns[3], theta, s)),
-            lambda s: cf.fidelity_special(FamilyPoint.sts(ns[0], ns[1], r, 0.0),
-                                          FamilyPoint.sts(ns[2], ns[3], r, s)),
+            lambda s: cf.fidelity_special(FamilyPoint.mts(hi[0], lo[0], theta, 0.0),
+                                          FamilyPoint.mts(hi[1], lo[1], theta, s)),
+            lambda s: cf.fidelity_special(FamilyPoint.sts(hi[0], lo[0], r, 0.0),
+                                          FamilyPoint.sts(hi[1], lo[1], r, s)),
         ):
             values = [make(s) for s in grid]
             # s = pi is excluded: -pi falls outside the phase range
-            for s, v in zip(grid[1:-1], values[1:-1]):
-                worst_even = max(worst_even, abs(make(-s) - v))
-            if any(b >= a for a, b in zip(values, values[1:])):
-                monotone = False
-    _check(results, "phase evenness", worst_even, 1e-12)
-    results.append(CheckResult("phase monotonicity on [0, pi]", monotone,
-                               "fidelity strictly decreasing on sampled grid"))
-
-    worst = -math.inf
-    for _ in range(100):
-        pair = (random_mts(rng), random_mts(rng)) if rng.random() < 0.5 \
-            else (random_sts(rng), random_sts(rng))
-        inv = cf.pair_invariants(*pair)
-        worst = max(worst, 2.0 - (inv.k_plus - inv.k_minus))
-    _check(results, "invariant gap at least two", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(200):
-        pair = (random_mts(rng), random_mts(rng)) if rng.random() < 0.5 \
-            else (random_sts(rng), random_sts(rng))
-        f_closed = cf.fidelity_special(*pair)
-        f_general = core.fidelity_two_mode(pair[0].to_state(), pair[1].to_state()).fidelity
-        worst = max(worst, abs(f_closed - f_general) / f_closed)
-    _check(results, "closed form matches general path", worst, 1e-10)
-    return results
+            even = _worst(abs(make(-s) - v) for s, v in zip(grid[1:-1], values[1:-1]))
+            rows.append((even, _worst(np.diff(values), -math.inf)))
+    return _worst_columns(rows, (0.0, -math.inf))
 
 
-def _metric_checks(rng, results, points_per_family=5):
-    worst_diag = worst_off = 0.0
+def invariant_gap(rng, count):
+    """Largest 2 - (k_plus - k_minus) over random same-family pairs."""
+    worst = []
+    for _ in range(count):
+        inv = cf.pair_invariants(*random_same_family_pair(rng))
+        worst.append(2.0 - (inv.k_plus - inv.k_minus))
+    return _worst(worst, -math.inf)
+
+
+def closed_matches_general(rng, count, draw_pair=random_same_family_pair):
+    """Worst relative distance of the closed-form fidelity from the general
+    covariance-matrix route on ``count`` pairs from ``draw_pair(rng)``."""
+    worst = []
+    for _ in range(count):
+        a, b = draw_pair(rng)
+        f_closed = cf.fidelity_special(a, b)
+        worst.append(abs(f_closed - _general_fidelity(a, b)) / f_closed)
+    return _worst(worst)
+
+
+# --- metric checks -------------------------------------------------------
+
+
+def metric_deviation(point: FamilyPoint, step: float = 1e-3):
+    """Finite-difference Bures metric at ``point`` and its distance from the
+    closed form: (metric, worst relative diagonal deviation, largest
+    off-diagonal entry)."""
+    metric = geometry.numeric_metric(point, step=step)
+    h = geometry.qfi_closed(point).h
+    closed = 0.25 * np.array([h[k] for k in metric.coords])
+    diag = np.diag(metric.matrix)
+    return (metric, float(np.max(np.abs(diag - closed) / closed)),
+            float(np.abs(metric.matrix - np.diag(diag)).max()))
+
+
+def numeric_metric_agreement(rng, count):
+    """:func:`metric_deviation` at ``count`` points per family; returns the
+    worst diagonal and off-diagonal deviations."""
+    rows = []
     for tag in (MTS, STS):
-        for _ in range(points_per_family):
+        for _ in range(count):
             if tag == MTS:
-                n1 = rng.uniform(1.0, 2.5)
-                n2 = rng.uniform(0.1, 0.8)
-                point = FamilyPoint.mts(n1, n2, rng.uniform(0.4, math.pi - 0.4),
-                                        rng.uniform(-2.0, 2.0))
+                point = FamilyPoint.mts(rng.uniform(1.0, 2.5), rng.uniform(0.1, 0.8),
+                                        rng.uniform(0.4, math.pi - 0.4), rng.uniform(-2.0, 2.0))
             else:
                 point = FamilyPoint.sts(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0),
                                         rng.uniform(0.2, 1.0), rng.uniform(-2.0, 2.0))
-            numeric = geometry.numeric_metric(point).matrix
-            h = geometry.qfi_closed(point).h
-            closed = 0.25 * np.array([h[k] for k in geometry.coord_names(tag)])
-            diag = np.diag(numeric)
-            worst_diag = max(worst_diag, np.max(np.abs(diag - closed) / closed))
-            off = numeric - np.diag(diag)
-            worst_off = max(worst_off, np.abs(off).max())
-    _check(results, "numeric metric diagonal vs closed form", worst_diag, 1e-4)
-    _check(results, "numeric metric off-diagonal entries", worst_off, 1e-6)
+            rows.append(metric_deviation(point)[1:])
+    return _worst_columns(rows, (0.0, 0.0))
 
 
-def geometry_suite(seed: int):
-    rng = np.random.default_rng(seed)
-    results = []
-    _metric_checks(rng, results)
-
-    worst = 0.0
-    for _ in range(20):
+def flat_thermal_coordinates(rng, count):
+    """Worst entry of J g J - I, with x = asinh(sqrt(n)) flattening the
+    thermal metric g."""
+    worst = []
+    for _ in range(count):
         n1, n2 = rng.uniform(0.05, 4.0, 2)
         x1, x2 = math.asinh(math.sqrt(n1)), math.asinh(math.sqrt(n2))
         jac = np.diag([math.sinh(2.0 * x1), math.sinh(2.0 * x2)])
-        pulled = jac @ geometry.ts_metric(n1, n2).matrix @ jac
-        worst = max(worst, np.abs(pulled - np.eye(2)).max())
-    _check(results, "thermal manifold is flat", worst, 1e-12)
+        worst.append(np.abs(jac @ geometry.ts_metric(n1, n2).matrix @ jac - np.eye(2)).max())
+    return _worst(worst)
 
-    worst = 0.0
-    for _ in range(20):
+
+def warped_recombination(rng, count):
+    """Worst distance of the device components H/4 from f^2 and f^2 F(x)^2."""
+    worst = []
+    for _ in range(count):
         for tag in (MTS, STS):
             if tag == MTS:
                 point = FamilyPoint.mts(rng.uniform(1.0, 2.5), rng.uniform(0.1, 0.8),
@@ -339,18 +366,169 @@ def geometry_suite(seed: int):
             h = geometry.qfi_closed(point).h
             f = geometry.warping_function(tag, point.params.n1, point.params.n2)
             dev = h["theta" if tag == MTS else "2r"]
-            worst = max(worst, abs(0.25 * dev - f * f),
-                        abs(0.25 * h["phi"] - f * f * fiber))
-    _check(results, "warped-product recombination", worst, 1e-12)
+            worst += [abs(0.25 * dev - f * f), abs(0.25 * h["phi"] - f * f * fiber)]
+    return _worst(worst)
 
-    worst = 0.0
-    for _ in range(50):
+
+def jeffreys_two_variable(rng, count):
+    """Worst relative distance of the STS Jeffreys prior from its
+    two-variable form 4 sinh(2r) / sinh(4 r_s)."""
+    worst = []
+    for _ in range(count):
         n1, n2 = rng.uniform(0.05, 3.0, 2)
         r = rng.uniform(0.02, 1.5)
         point = FamilyPoint.sts(n1, n2, r, rng.uniform(-3.0, 3.0))
         closed = geometry.jeffreys_prior_sts_closed(n1, n2, r)
-        worst = max(worst, abs(geometry.jeffreys_prior(point) - closed) / closed)
-    _check(results, "Jeffreys prior two-variable form", worst, 1e-10)
+        worst.append(abs(geometry.jeffreys_prior(point) - closed) / closed)
+    return _worst(worst)
+
+
+# --- curvature checks ----------------------------------------------------
+
+
+def constant_curvature_calibration():
+    """Worst pipeline error on the unit sphere (R = 2), the unit hyperboloid
+    (R = -2) and the flat thermal manifold."""
+    pipeline = curvature.scalar_curvature_pipeline
+    return _worst([
+        abs(pipeline(curvature.fiber_field(MTS), [1.1, 0.4]).scalar_r - 2.0),
+        abs(pipeline(curvature.fiber_field(STS), [0.9, -0.6]).scalar_r + 2.0),
+        abs(pipeline(curvature.thermal_field(), [1.3, 0.7]).scalar_r),
+    ])
+
+
+def curvature_agreement(rng, count):
+    """Pipeline and warped curvature against the closed form at ``count``
+    points per family; returns the worst relative pipeline error, the worst
+    relative warped error and the largest Riemann antisymmetry residual."""
+    rows = []
+    for tag in (MTS, STS):
+        fld = curvature.family_metric_field(tag)
+        for _ in range(count):
+            n1 = rng.uniform(1.0, 2.5)
+            n2 = rng.uniform(0.1, 0.8)
+            closed = curvature.scalar_closed(tag, n1, n2)
+            device = [rng.uniform(0.4, 2.6), rng.uniform(-2.0, 2.0)]
+            report = curvature.scalar_curvature_pipeline(fld, [n1, n2] + device)
+            rows.append((abs(report.scalar_r - closed) / abs(closed),
+                         abs(curvature.scalar_warped(tag, n1, n2) - closed) / abs(closed),
+                         report.residuals["antisymmetry"]))
+    return _worst_columns(rows, (0.0, 0.0, 0.0))
+
+
+def device_independence(count):
+    """Largest relative spread of the pipeline curvature at (1.8, 0.4) over a
+    ``count`` x ``count`` grid of device points, over both families."""
+    spreads = []
+    for tag in (MTS, STS):
+        fld = curvature.family_metric_field(tag)
+        values = [
+            curvature.scalar_curvature_pipeline(fld, [1.8, 0.4, dev, phi]).scalar_r
+            for dev in np.linspace(0.5, 2.5, count)
+            for phi in np.linspace(-2.0, 2.0, count)
+        ]
+        spreads.append(np.ptp(values) / abs(np.mean(values)))
+    return _worst(spreads)
+
+
+# --- Fock oracle checks --------------------------------------------------
+
+
+def _low_occupancy_point(rng, tag):
+    if tag == MTS:
+        return FamilyPoint.mts(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5),
+                               rng.uniform(0.05, math.pi - 0.05), rng.uniform(-math.pi, math.pi))
+    return FamilyPoint.sts(rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3),
+                           rng.uniform(0.0, 0.4), rng.uniform(-math.pi, math.pi))
+
+
+def fock_agreement(rng, count, tag, d):
+    """Truncated-Fock oracle at per-mode truncation ``d`` on ``count``
+    low-occupancy ``tag`` pairs; returns the worst |Uhlmann - closed form|
+    and the worst |Fock overlap - general overlap|."""
+    rows = []
+    for _ in range(count):
+        a, b = _low_occupancy_point(rng, tag), _low_occupancy_point(rng, tag)
+        rho_a, rho_b = fock.family_dm(a, d), fock.family_dm(b, d)
+        general = core.fidelity_two_mode(a.to_state(), b.to_state())
+        rows.append((abs(fock.uhlmann_fidelity(rho_a, rho_b) - cf.fidelity_special(a, b)),
+                     abs(fock.overlap_fock(rho_a, rho_b) - general.overlap)))
+    return _worst_columns(rows, (0.0, 0.0))
+
+
+def commuting_spectral(rng, count):
+    """Worst distance of the thermal spectral fidelity from the Uhlmann
+    fidelity of the same truncated thermal states."""
+    worst = []
+    for _ in range(count):
+        ns = rng.uniform(0.0, 0.6, 4)
+        uhl = fock.uhlmann_fidelity(fock.thermal_dm(ns[0], ns[1], 30),
+                                    fock.thermal_dm(ns[2], ns[3], 30))
+        worst.append(abs(fock.spectral_fidelity_ts(*ns, n_terms=30) - uhl))
+    return _worst(worst)
+
+
+# --- suites --------------------------------------------------------------
+
+
+def core_suite(seed: int):
+    rng = np.random.default_rng(seed)
+    results = []
+    sym, excess, overlap, inequality, identity = fidelity_properties(rng, 100, _displaced_pair)
+    _check(results, "fidelity symmetry", sym, 1e-12)
+    _check(results, "fidelity bounded by one", excess, 1e-10)
+    _check(results, "fidelity at least overlap", overlap, 1e-12)
+    _check(results, "determinant inequalities", inequality, 1e-9)
+    _check(results, "overlap proportionality identity", identity, 1e-10)
+    _check(results, "saturation at equal states", self_fidelity(rng, 50), 1e-10)
+    _check(results, "separated records stay below one", _worst([separated_records(rng, 25)]),
+           0.0, extra="records differing by 1e-3 give F < 1 - 1e-9")
+    _check(results, "pure-state reduction to overlap", pure_state_overlap(rng, 25), 1e-9)
+
+    anchors = [
+        abs(core.distances(1.0)["bures"]), abs(core.distances(1.0)["angle"]),
+        abs(core.distances(0.0)["bures"] - math.sqrt(2.0)),
+        abs(core.distances(0.0)["angle"] - math.pi / 2.0),
+        abs(core.distances(0.25)["bures"] - 1.0),
+        abs(core.distances(0.25)["angle"] - math.pi / 3.0),
+    ]
+    _check(results, "fidelity-derived distances", _worst(anchors), 1e-12)
+    _check(results, "classical Hellinger consistency", classical_hellinger(rng, 50), 1e-12)
+
+    eye2 = 0.5 * np.eye(2)
+    f_half = core.fidelity_one_mode(np.zeros(2), eye2, np.zeros(2), 3.0 * eye2)
+    _check(results, "one-mode thermal fidelity", abs(f_half - 0.5), 1e-12)
+    return results
+
+
+def appendix_suite(seed: int):
+    rng = np.random.default_rng(seed)
+    results = []
+    _check(results, "affinity function at least one", affinity_at_least_one(rng, 200), 1e-12)
+    _check(results, "thermal fidelity multiplicativity", thermal_multiplicativity(rng, 50), 1e-12)
+    _check(results, "thermal reduction of pair invariants", thermal_reduction(rng, 50), 1e-12)
+    below, thermal_excess = family_below_thermal(rng, 200)
+    _check(results, "family fidelity below thermal fidelity", below, 1e-9)
+    _check(results, "thermal fidelity below one", thermal_excess, 1e-9)
+    _check(results, "chain saturation at equal device settings", chain_saturation(rng, 40), 1e-12)
+    even, rise = phase_dependence(rng, 10)
+    _check(results, "phase evenness", even, 1e-12)
+    results.append(CheckResult("phase monotonicity on [0, pi]", rise < 0.0,
+                               "fidelity strictly decreasing on sampled grid"))
+    _check(results, "invariant gap at least two", invariant_gap(rng, 100), 1e-9)
+    _check(results, "closed form matches general path", closed_matches_general(rng, 200), 1e-10)
+    return results
+
+
+def geometry_suite(seed: int):
+    rng = np.random.default_rng(seed)
+    results = []
+    diag, off = numeric_metric_agreement(rng, 5)
+    _check(results, "numeric metric diagonal vs closed form", diag, 1e-4)
+    _check(results, "numeric metric off-diagonal entries", off, 1e-6)
+    _check(results, "thermal manifold is flat", flat_thermal_coordinates(rng, 20), 1e-12)
+    _check(results, "warped-product recombination", warped_recombination(rng, 20), 1e-12)
+    _check(results, "Jeffreys prior two-variable form", jeffreys_two_variable(rng, 50), 1e-10)
 
     rs = separability_threshold(1.3, 0.6)
     value = geometry.jeffreys_prior(FamilyPoint.sts(1.3, 0.6, rs, 0.0))
@@ -379,67 +557,29 @@ def curvature_suite(seed: int):
         abs(curvature.scalar_closed(
             STS, curvature.SADDLE_OCCUPANCY, curvature.SADDLE_OCCUPANCY) + 143.0 / 14.0),
     ]
-    _check(results, "closed-form curvature anchors", max(anchors), 1e-12)
+    _check(results, "closed-form curvature anchors", _worst(anchors), 1e-12)
+    _check(results, "constant-curvature calibration", constant_curvature_calibration(), 1e-6)
+    pipe, warp, _ = curvature_agreement(rng, 3)
+    _check(results, "pipeline curvature vs closed form", pipe, 1e-3)
+    _check(results, "warped curvature vs closed form", warp, 1e-9)
+    _check(results, "device-parameter independence", device_independence(3), 1e-3)
 
-    calib = [
-        abs(curvature.scalar_curvature_pipeline(curvature.fiber_field("MTS"), [1.1, 0.4]).scalar_r - 2.0),
-        abs(curvature.scalar_curvature_pipeline(curvature.fiber_field("STS"), [0.9, -0.6]).scalar_r + 2.0),
-        abs(curvature.scalar_curvature_pipeline(curvature.thermal_field(), [1.3, 0.7]).scalar_r),
-    ]
-    _check(results, "constant-curvature calibration", max(calib), 1e-6)
-
-    worst_pipe = worst_warp = 0.0
-    for tag in (MTS, STS):
-        fld = curvature.family_metric_field(tag)
-        for _ in range(3):
-            n1 = rng.uniform(1.0, 2.5)
-            n2 = rng.uniform(0.1, 0.8)
-            closed = curvature.scalar_closed(tag, n1, n2)
-            device = [rng.uniform(0.4, 2.6), rng.uniform(-2.0, 2.0)]
-            report = curvature.scalar_curvature_pipeline(fld, [n1, n2] + device)
-            worst_pipe = max(worst_pipe, abs(report.scalar_r - closed) / abs(closed))
-            worst_warp = max(worst_warp,
-                             abs(curvature.scalar_warped(tag, n1, n2) - closed) / abs(closed))
-    _check(results, "pipeline curvature vs closed form", worst_pipe, 1e-3)
-    _check(results, "warped curvature vs closed form", worst_warp, 1e-9)
-
-    worst = 0.0
-    for tag in (MTS, STS):
-        fld = curvature.family_metric_field(tag)
-        values = [
-            curvature.scalar_curvature_pipeline(fld, [1.8, 0.4, dev, phi]).scalar_r
-            for dev in np.linspace(0.5, 2.5, 3)
-            for phi in np.linspace(-2.0, 2.0, 3)
-        ]
-        spread = (max(values) - min(values)) / abs(np.mean(values))
-        worst = max(worst, spread)
-    _check(results, "device-parameter independence", worst, 1e-3)
-
-    worst = 0.0
-    for s in np.linspace(0.1, 4.0, 7):
-        worst = max(worst, abs(curvature.section_curve(MTS, "symmetric", s)
-                               - curvature.scalar_closed(MTS, s, s)))
-        worst = max(worst, abs(curvature.section_curve(STS, "symmetric", s)
-                               - curvature.scalar_closed(STS, s, s)))
-        worst = max(worst, abs(curvature.section_curve(MTS, "edge", s)
-                               - curvature.scalar_closed(MTS, s, 0.0)))
-        worst = max(worst, abs(curvature.section_curve(STS, "edge", s)
-                               - curvature.scalar_closed(STS, s, 0.0)))
-    for s in np.linspace(0.0, 1.0, 7):
-        worst = max(worst, abs(curvature.section_curve(MTS, "perpendicular", s)
-                               - curvature.scalar_closed(MTS, s, 1.0 - s)))
     ns2 = 2.0 * curvature.SADDLE_OCCUPANCY
-    for s in np.linspace(0.0, ns2, 7):
-        worst = max(worst, abs(curvature.section_curve(STS, "perpendicular", s)
-                               - curvature.scalar_closed(STS, s, ns2 - s)))
-    _check(results, "section curves match the surfaces", worst, 1e-12)
+    sections = []
+    for s in np.linspace(0.1, 4.0, 7):
+        sections += [(tag, "symmetric", s, s) for tag in (MTS, STS)]
+        sections += [(tag, "edge", s, 0.0) for tag in (MTS, STS)]
+    sections += [(MTS, "perpendicular", s, 1.0 - s) for s in np.linspace(0.0, 1.0, 7)]
+    sections += [(STS, "perpendicular", s, ns2 - s) for s in np.linspace(0.0, ns2, 7)]
+    _check(results, "section curves match the surfaces",
+           _worst(abs(curvature.section_curve(tag, section, s) - curvature.scalar_closed(tag, s, n2))
+                  for tag, section, s, n2 in sections), 1e-12)
 
-    asym = max(abs(curvature.scalar_closed(MTS, 100.0, 100.0) + 12.0),
-               abs(curvature.scalar_closed(STS, 100.0, 100.0) + 12.0))
+    asym = _worst(abs(curvature.scalar_closed(tag, 100.0, 100.0) + 12.0) for tag in (MTS, STS))
     _check(results, "common asymptote at -12", asym, 1e-2)
 
-    sym = max(abs(curvature.scalar_closed(MTS, 1.7, 0.3) - curvature.scalar_closed(MTS, 0.3, 1.7)),
-              abs(curvature.scalar_closed(STS, 1.7, 0.3) - curvature.scalar_closed(STS, 0.3, 1.7)))
+    sym = _worst(abs(curvature.scalar_closed(tag, 1.7, 0.3) - curvature.scalar_closed(tag, 0.3, 1.7))
+                 for tag in (MTS, STS))
     _check(results, "curvature symmetry under mode swap", sym, 0.0)
     return results
 
@@ -449,44 +589,12 @@ def oracle_suite(seed: int, truncation: int | None = None):
     results = []
     d_mts = 25 if truncation is None else truncation
     d_sts = 40 if truncation is None else truncation
-
-    worst_fid = worst_overlap = 0.0
-    for _ in range(10):
-        a = FamilyPoint.mts(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5),
-                            rng.uniform(0.05, math.pi - 0.05), rng.uniform(-math.pi, math.pi))
-        b = FamilyPoint.mts(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5),
-                            rng.uniform(0.05, math.pi - 0.05), rng.uniform(-math.pi, math.pi))
-        rho_a, rho_b = fock.family_dm(a, d_mts), fock.family_dm(b, d_mts)
-        worst_fid = max(worst_fid, abs(fock.uhlmann_fidelity(rho_a, rho_b)
-                                       - cf.fidelity_special(a, b)))
-        general = core.fidelity_two_mode(a.to_state(), b.to_state())
-        worst_overlap = max(worst_overlap,
-                            abs(fock.overlap_fock(rho_a, rho_b) - general.overlap))
-    _check(results, "Fock oracle agreement (mode mixing)", worst_fid, 1e-6)
-
-    worst_sts = 0.0
-    for _ in range(10):
-        a = FamilyPoint.sts(rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3),
-                            rng.uniform(0.0, 0.4), rng.uniform(-math.pi, math.pi))
-        b = FamilyPoint.sts(rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3),
-                            rng.uniform(0.0, 0.4), rng.uniform(-math.pi, math.pi))
-        rho_a, rho_b = fock.family_dm(a, d_sts), fock.family_dm(b, d_sts)
-        worst_sts = max(worst_sts, abs(fock.uhlmann_fidelity(rho_a, rho_b)
-                                       - cf.fidelity_special(a, b)))
-        general = core.fidelity_two_mode(a.to_state(), b.to_state())
-        worst_overlap = max(worst_overlap,
-                            abs(fock.overlap_fock(rho_a, rho_b) - general.overlap))
-    _check(results, "Fock oracle agreement (squeezing)", worst_sts, 1e-4)
-    _check(results, "Fock overlap agreement", worst_overlap, 1e-6)
-
-    worst = 0.0
-    for _ in range(5):
-        ns = rng.uniform(0.0, 0.6, 4)
-        spectral = fock.spectral_fidelity_ts(*ns, n_terms=30)
-        uhl = fock.uhlmann_fidelity(fock.thermal_dm(ns[0], ns[1], 30),
-                                    fock.thermal_dm(ns[2], ns[3], 30))
-        worst = max(worst, abs(spectral - uhl))
-    _check(results, "commuting-case spectral fidelity", worst, 1e-8)
+    mixing, overlap_mts = fock_agreement(rng, 10, MTS, d_mts)
+    _check(results, "Fock oracle agreement (mode mixing)", mixing, 1e-6)
+    squeezing, overlap_sts = fock_agreement(rng, 10, STS, d_sts)
+    _check(results, "Fock oracle agreement (squeezing)", squeezing, 1e-4)
+    _check(results, "Fock overlap agreement", _worst((overlap_mts, overlap_sts)), 1e-6)
+    _check(results, "commuting-case spectral fidelity", commuting_spectral(rng, 5), 1e-8)
     return results
 
 

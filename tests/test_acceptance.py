@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Each test enforces its runtime budget; the Fock-space criterion is the
-longest (a few seconds of sector-blocked linear algebra).
+The seeded criteria run the property checks of ``gaussfisher.verification``,
+the same functions behind ``gaussfisher verify``, with their own seeds, draw
+counts and bounds. Each test enforces its runtime budget; the Fock-space
+criterion is the longest (about a second of sector-blocked linear algebra).
 """
 
 import math
@@ -12,8 +14,9 @@ import pytest
 
 from gaussfisher import cli
 from gaussfisher import closed_form as cf
-from gaussfisher import core, curvature, fock, geometry
-from gaussfisher.states import FamilyPoint, separability_threshold
+from gaussfisher import curvature, geometry
+from gaussfisher import verification as v
+from gaussfisher.states import MTS, STS, FamilyPoint, separability_threshold
 from gaussfisher.verification import random_mts, random_sts
 
 NS = curvature.SADDLE_OCCUPANCY
@@ -52,176 +55,66 @@ def test_criterion_1_closed_form_anchors():
     assert time.monotonic() - start < 1.0
 
 
-@pytest.mark.slow
 def test_criterion_2_fidelity_oracle_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(2024)
     for draw in (random_mts, random_sts):
-        for _ in range(200):
-            a, b = draw(rng), draw(rng)
-            closed = cf.fidelity_special(a, b)
-            general = core.fidelity_two_mode(a.to_state(), b.to_state()).fidelity
-            assert abs(closed - general) / closed <= 1e-10
-
-    for _ in range(10):
-        a = FamilyPoint.mts(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5),
-                            rng.uniform(0.05, math.pi - 0.05),
-                            rng.uniform(-math.pi, math.pi))
-        b = FamilyPoint.mts(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5),
-                            rng.uniform(0.05, math.pi - 0.05),
-                            rng.uniform(-math.pi, math.pi))
-        uhlmann = fock.uhlmann_fidelity(fock.family_dm(a, 25), fock.family_dm(b, 25))
-        assert abs(uhlmann - cf.fidelity_special(a, b)) <= 1e-6
-
-    for _ in range(10):
-        a = FamilyPoint.sts(rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3),
-                            rng.uniform(0.0, 0.4), rng.uniform(-math.pi, math.pi))
-        b = FamilyPoint.sts(rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3),
-                            rng.uniform(0.0, 0.4), rng.uniform(-math.pi, math.pi))
-        uhlmann = fock.uhlmann_fidelity(fock.family_dm(a, 40), fock.family_dm(b, 40))
-        assert abs(uhlmann - cf.fidelity_special(a, b)) <= 1e-4
+        assert v.closed_matches_general(rng, 200, lambda r: (draw(r), draw(r))) <= 1e-10
+    assert v.fock_agreement(rng, 10, MTS, 25)[0] <= 1e-6
+    assert v.fock_agreement(rng, 10, STS, 40)[0] <= 1e-4
     assert time.monotonic() - start < 300.0
 
 
 def test_criterion_3_metric_reproduction():
     start = time.monotonic()
-    rng = np.random.default_rng(31)
-    for tag in ("MTS", "STS"):
-        for _ in range(20):
-            if tag == "MTS":
-                point = FamilyPoint.mts(rng.uniform(1.0, 2.5), rng.uniform(0.1, 0.8),
-                                        rng.uniform(0.4, math.pi - 0.4),
-                                        rng.uniform(-2.0, 2.0))
-            else:
-                point = FamilyPoint.sts(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0),
-                                        rng.uniform(0.2, 1.0), rng.uniform(-2.0, 2.0))
-            numeric = geometry.numeric_metric(point).matrix
-            h = geometry.qfi_closed(point).h
-            closed = 0.25 * np.array([h[k] for k in geometry.coord_names(tag)])
-            assert np.max(np.abs(np.diag(numeric) - closed) / closed) <= 1e-4
-            off = numeric - np.diag(np.diag(numeric))
-            assert np.abs(off).max() < 1e-6
+    diagonal, off_diagonal = v.numeric_metric_agreement(np.random.default_rng(31), 20)
+    assert diagonal <= 1e-4
+    assert off_diagonal < 1e-6
     assert time.monotonic() - start < 30.0
 
 
 def test_criterion_4_curvature_three_way_agreement():
     start = time.monotonic()
-    rng = np.random.default_rng(41)
-    for tag in ("MTS", "STS"):
-        field = curvature.family_metric_field(tag)
-        for _ in range(10):
-            n1, n2 = rng.uniform(1.0, 2.5), rng.uniform(0.1, 0.8)
-            closed = curvature.scalar_closed(tag, n1, n2)
-            point = [n1, n2, rng.uniform(0.4, 2.6), rng.uniform(-2.0, 2.0)]
-            pipeline = curvature.scalar_curvature_pipeline(field, point).scalar_r
-            assert abs(pipeline - closed) / abs(closed) <= 1e-3
-            warped = curvature.scalar_warped(tag, n1, n2)
-            assert abs(warped - closed) / abs(closed) <= 1e-9
-        values = [
-            curvature.scalar_curvature_pipeline(field, [1.8, 0.4, dev, phi]).scalar_r
-            for dev in np.linspace(0.5, 2.5, 5)
-            for phi in np.linspace(-2.0, 2.0, 5)
-        ]
-        assert max(values) - min(values) < 1e-3 * abs(np.mean(values))
+    pipeline, warped, antisymmetry = v.curvature_agreement(np.random.default_rng(41), 10)
+    assert pipeline <= 1e-3
+    assert warped <= 1e-9
+    assert antisymmetry < 1e-8
+    assert v.device_independence(5) < 1e-3
     assert time.monotonic() - start < 120.0
 
 
 def test_criterion_5_constant_curvature_calibration():
-    sphere = curvature.scalar_curvature_pipeline(curvature.fiber_field("MTS"), [1.1, 0.4])
-    assert sphere.scalar_r == pytest.approx(2.0, abs=1e-6)
-    hyper = curvature.scalar_curvature_pipeline(curvature.fiber_field("STS"),
-                                                [0.9, -0.6])
-    assert hyper.scalar_r == pytest.approx(-2.0, abs=1e-6)
-    thermal = curvature.scalar_curvature_pipeline(curvature.thermal_field(),
-                                                  [1.3, 0.7])
-    assert thermal.scalar_r == pytest.approx(0.0, abs=1e-6)
+    assert v.constant_curvature_calibration() <= 1e-6
 
 
 def test_criterion_6_property_suites():
     start = time.monotonic()
     rng = np.random.default_rng(61)
     slack = 1e-9
-    for _ in range(200):
-        a, b = (random_mts(rng), random_mts(rng)) if rng.random() < 0.5 \
-            else (random_sts(rng), random_sts(rng))
-        out = core.fidelity_two_mode(a.to_state(), b.to_state())
-        back = core.fidelity_two_mode(b.to_state(), a.to_state())
-        assert abs(out.fidelity - back.fidelity) <= slack * out.fidelity
-        assert out.fidelity <= 1.0 + slack
-        assert out.fidelity >= out.overlap - slack
-        assert out.delta >= 1.0 - slack
-        assert out.gamma >= out.delta - slack * (1.0 + abs(out.gamma))
-        assert out.lam >= -slack
-        assert out.k_minus >= -slack
-        assert out.k_plus - out.k_minus >= 2.0 - slack
+
+    def state_pair(r):
+        return [p.to_state() for p in v.random_same_family_pair(r)]
+
+    symmetry, excess, overlap, inequality, _ = v.fidelity_properties(rng, 200, state_pair)
+    assert all(w <= slack for w in (symmetry, excess, overlap, inequality))
 
     # saturation iff equal parameter records
-    for _ in range(200):
-        point = random_mts(rng) if rng.random() < 0.5 else random_sts(rng)
-        assert abs(cf.fidelity_special(point, point) - 1.0) <= 1e-10
-    for _ in range(25):
-        n1, n2 = rng.uniform(1.5, 2.5), rng.uniform(0.2, 0.8)
-        theta = rng.uniform(math.pi / 3.0, 2.0 * math.pi / 3.0)
-        r = rng.uniform(0.3, 1.0)
-        phi = rng.uniform(-1.5, 1.5)
-        for base in (FamilyPoint.mts(n1, n2, theta, phi),
-                     FamilyPoint.sts(n1, n2, r, phi)):
-            for bump in range(4):
-                delta = [0.0] * 4
-                delta[bump] = 1e-3
-                if base.tag == "MTS":
-                    other = FamilyPoint.mts(n1 + delta[0], n2 + delta[1],
-                                            theta + delta[2], phi + delta[3])
-                else:
-                    other = FamilyPoint.sts(n1 + delta[0], n2 + delta[1],
-                                            r + delta[2], phi + delta[3])
-                assert cf.fidelity_special(base, other) < 1.0 - slack
+    assert v.self_fidelity(rng, 200, cf.fidelity_special) <= 1e-10
+    assert v.separated_records(rng, 25) < 0.0
 
     # chain saturation: equal device settings reach the thermal fidelity,
     # different settings stay strictly below it
-    for _ in range(50):
-        hi = rng.uniform(1.2, 2.5, 2)
-        lo = rng.uniform(0.3, 0.9, 2)
-        theta = rng.uniform(0.4, math.pi - 0.4)
-        phi = rng.uniform(-2.0, 2.0)
-        f_thermal = cf.fidelity_ts(hi[0], lo[0], hi[1], lo[1])
-        equal = cf.fidelity_special(FamilyPoint.mts(hi[0], lo[0], theta, phi),
-                                    FamilyPoint.mts(hi[1], lo[1], theta, phi))
-        assert abs(equal - f_thermal) <= slack
-        shifted = cf.fidelity_special(FamilyPoint.mts(hi[0], lo[0], theta, phi),
-                                      FamilyPoint.mts(hi[1], lo[1], theta + 0.3, phi))
-        assert shifted < f_thermal - slack
+    equal, shifted = v.device_chain(rng, 50)
+    assert equal <= slack
+    assert shifted < -slack
 
     # same-occupancy chains against the thermal pair
-    for _ in range(200):
-        hi = rng.uniform(1.0, 3.0, 2)
-        lo = rng.uniform(0.0, 0.9, 2)
-        if rng.random() < 0.5:
-            a = FamilyPoint.mts(hi[0], lo[0], rng.uniform(0.05, 3.0),
-                                rng.uniform(-3.0, 3.0))
-            b = FamilyPoint.mts(hi[1], lo[1], rng.uniform(0.05, 3.0),
-                                rng.uniform(-3.0, 3.0))
-        else:
-            a = FamilyPoint.sts(hi[0], lo[0], rng.uniform(0.0, 1.2),
-                                rng.uniform(-3.0, 3.0))
-            b = FamilyPoint.sts(hi[1], lo[1], rng.uniform(0.0, 1.2),
-                                rng.uniform(-3.0, 3.0))
-        f_family = cf.fidelity_special(a, b)
-        f_thermal = cf.fidelity_ts(a.params.n1, a.params.n2,
-                                   b.params.n1, b.params.n2)
-        assert f_family <= f_thermal + slack
-        assert f_thermal <= 1.0 + slack
+    assert all(w <= slack for w in v.family_below_thermal(rng, 200))
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_7_jeffreys_identity():
-    rng = np.random.default_rng(71)
-    for _ in range(50):
-        n1, n2 = rng.uniform(0.05, 3.0, 2)
-        r = rng.uniform(0.02, 1.5)
-        product = geometry.jeffreys_prior(FamilyPoint.sts(n1, n2, r, 0.0))
-        closed = geometry.jeffreys_prior_sts_closed(n1, n2, r)
-        assert abs(product - closed) / closed <= 1e-10
+    assert v.jeffreys_two_variable(np.random.default_rng(71), 50) <= 1e-10
     rs = separability_threshold(0.9, 1.4)
     value = geometry.jeffreys_prior(FamilyPoint.sts(0.9, 1.4, rs, 0.0))
     assert value == pytest.approx(2.0 / math.cosh(2.0 * rs), rel=1e-10)

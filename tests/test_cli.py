@@ -118,6 +118,22 @@ class TestMetricCommand:
         report = parse_report(capsys.readouterr().out)
         assert float(report["numeric_max_deviation"]) < 1e-4
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_measurements_below_one_exit_2(self, tmp_path, capsys, count):
+        path = write(tmp_path, "a.txt", MTS_DOC)
+        assert cli.main(["metric", path, "--measurements", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive integer" in captured.err
+
+    @pytest.mark.parametrize("key, value", [("n1", "nan"), ("n2", "inf")])
+    def test_non_finite_document_exits_2(self, tmp_path, capsys, key, value):
+        doc = "".join(f"{k} = {value if k == key else v}\n"
+                      for k, v in parse_report(MTS_DOC).items())
+        path = write(tmp_path, "a.txt", doc)
+        for command in (["metric", path], ["oracle", path, path, "--truncation", "6"]):
+            assert cli.main(command) == 2
+            assert capsys.readouterr().out == ""
+
     def test_degenerate_numeric_point_fails(self, tmp_path, capsys):
         doc = "family = MTS\nn1 = 1.0\nn2 = 1.0\ntheta = 1.0\nphi = 0.0\n"
         path = write(tmp_path, "a.txt", doc)
@@ -149,6 +165,22 @@ class TestCurvatureCommand:
         report = parse_report(capsys.readouterr().out)
         assert report["curvature_pipeline"] == "unavailable"
         assert report["warning_0"].startswith("pipeline_unavailable: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["MTS", "2", "1", "--method", "pipeline", "--step", "0"],
+        ["MTS", "2", "1", "--method", "all", "--step=-1e-3"],
+        ["MTS", "2", "1", "--step", "nan"],
+        ["MTS", "inf", "1", "--method", "all"],
+        ["MTS", "nan", "1"],
+        ["STS", "2", "inf", "--method", "warped"],
+        ["MTS", "2", "1", "--method", "pipeline", "--device", "1.0", "nan"],
+        ["STS", "2", "1", "--method", "pipeline", "--device", "inf", "0"],
+    ], ids=["step_zero", "step_negative", "step_nan", "n1_inf", "n1_nan", "n2_inf",
+            "device_phi_nan", "device_r_inf"])
+    def test_bad_numbers_exit_2(self, capsys, argv):
+        assert cli.main(["curvature", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
 
     def test_method_all_at_degenerate_point(self, capsys):
         assert cli.main(["curvature", "MTS", "0.5", "0.5", "--method", "all"]) == 0
@@ -226,6 +258,19 @@ class TestVerifyCommand:
         monkeypatch.setitem(verification.SUITES, "core", failing)
         assert cli.main(["verify", "core"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("owner, name, fake, suite, failure", [
+        (verification.cf, "q_affinity", lambda x, y: math.nan,
+         "appendix", "FAIL [appendix] affinity function at least one: worst nan"),
+        # a NaN in one family's overlap column must fail the combined check
+        (verification, "fock_agreement",
+         lambda rng, count, tag, d: (0.0, math.nan if tag == "STS" else 0.0),
+         "oracle", "FAIL [oracle] Fock overlap agreement: worst nan"),
+    ], ids=["affinity", "oracle_overlap"])
+    def test_nan_fails_its_check(self, capsys, monkeypatch, owner, name, fake, suite, failure):
+        monkeypatch.setattr(owner, name, fake)
+        assert cli.main(["verify", suite]) == 1
+        assert failure in capsys.readouterr().out
 
     def test_zero_truncation_exits_2(self, capsys):
         assert cli.main(["verify", "oracle", "--truncation", "0"]) == 2

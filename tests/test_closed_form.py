@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussfisher import closed_form as cf
 from gaussfisher import core
+from gaussfisher import verification as v
 from gaussfisher.errors import ValidationError
 from gaussfisher.states import FamilyPoint, MtsParams, StsParams, TsParams
 from gaussfisher.verification import random_mts, random_sts
@@ -107,32 +108,12 @@ class TestFidelitySpecial:
             cf.fidelity_special(random_mts(rng), random_sts(rng))
 
     def test_oracle_equivalence(self, rng):
-        for _ in range(200):
-            pair = (random_mts(rng), random_mts(rng)) if rng.random() < 0.5 \
-                else (random_sts(rng), random_sts(rng))
-            closed = cf.fidelity_special(*pair)
-            general = core.fidelity_two_mode(*(p.to_state() for p in pair)).fidelity
-            assert closed == pytest.approx(general, rel=1e-10)
+        assert v.closed_matches_general(rng, 200) <= 1e-10
 
     def test_phase_even_and_decreasing(self, rng):
-        grid = np.linspace(0.0, math.pi, 9)
-        for _ in range(5):
-            n_hi = rng.uniform(1.0, 2.0, 2)
-            n_lo = rng.uniform(0.1, 0.9, 2)
-            theta = rng.uniform(0.4, math.pi - 0.4)
-            r = rng.uniform(0.3, 1.0)
-            for make in (
-                lambda s: cf.fidelity_special(
-                    FamilyPoint.mts(n_hi[0], n_lo[0], theta, 0.0),
-                    FamilyPoint.mts(n_hi[1], n_lo[1], theta, s)),
-                lambda s: cf.fidelity_special(
-                    FamilyPoint.sts(n_hi[0], n_lo[0], r, 0.0),
-                    FamilyPoint.sts(n_hi[1], n_lo[1], r, s)),
-            ):
-                values = [make(s) for s in grid]
-                assert all(a > b for a, b in zip(values, values[1:]))
-                for s, v in zip(grid[1:-1], values[1:-1]):
-                    assert make(-s) == pytest.approx(v, abs=1e-12)
+        even, rise = v.phase_dependence(rng, 5)
+        assert even <= 1e-12
+        assert rise < 0.0
 
     def test_bounded_by_thermal_fidelity(self, rng):
         for _ in range(200):
@@ -150,34 +131,11 @@ class TestFidelitySpecial:
             assert f_thermal <= 1.0 + 1e-9
 
     def test_chain_saturates_iff_devices_match(self, rng):
-        for _ in range(40):
-            # both states ordered n1 > n2, the convention for the chain
-            hi = rng.uniform(1.2, 2.5, 2)
-            lo = rng.uniform(0.3, 0.9, 2)
-            ns = np.array([hi[0], lo[0], hi[1], lo[1]])
-            theta, phi = rng.uniform(0.4, math.pi - 0.4), rng.uniform(-2.0, 2.0)
-            ft = cf.fidelity_ts(*ns)
-            equal = cf.fidelity_special(FamilyPoint.mts(ns[0], ns[1], theta, phi),
-                                        FamilyPoint.mts(ns[2], ns[3], theta, phi))
-            assert equal == pytest.approx(ft, abs=1e-12)
-            shifted = cf.fidelity_special(
-                FamilyPoint.mts(ns[0], ns[1], theta, phi),
-                FamilyPoint.mts(ns[2], ns[3], theta + 0.3, phi))
-            assert shifted < ft - 1e-9
+        equal, shifted = v.device_chain(rng, 40)
+        assert equal <= 1e-12
+        assert shifted < -1e-9
 
     def test_saturation_iff_equal_records(self, rng):
-        for _ in range(40):
-            point = random_mts(rng) if rng.random() < 0.5 else random_sts(rng)
-            assert abs(cf.fidelity_special(point, point) - 1.0) <= 1e-10
+        assert v.self_fidelity(rng, 40, cf.fidelity_special) <= 1e-10
         # records differing by 1e-3 in a well-conditioned region stay below 1
-        for _ in range(20):
-            n1, n2 = rng.uniform(1.5, 2.5), rng.uniform(0.2, 0.8)
-            theta = rng.uniform(math.pi / 3.0, 2.0 * math.pi / 3.0)
-            phi = rng.uniform(-1.5, 1.5)
-            base = FamilyPoint.mts(n1, n2, theta, phi)
-            for bump in range(4):
-                delta = [0.0] * 4
-                delta[bump] = 1e-3
-                other = FamilyPoint.mts(n1 + delta[0], n2 + delta[1],
-                                        theta + delta[2], phi + delta[3])
-                assert cf.fidelity_special(base, other) < 1.0 - 1e-9
+        assert v.separated_records(rng, 20) < 0.0

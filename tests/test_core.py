@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gaussfisher import core
 from gaussfisher.errors import ValidationError
 from gaussfisher.states import FamilyPoint, TsParams, sq_symplectic, thermal_cov
-from gaussfisher.verification import random_physical_state
+from gaussfisher.verification import fidelity_properties, random_physical_state
 
 
 def thermal4(n1, n2):
@@ -129,23 +129,15 @@ class TestFidelityTwoMode:
         assert core.fidelity_two_mode(a, b).fidelity == pytest.approx(0.25, rel=1e-12)
 
     def test_symmetry(self, rng):
-        for _ in range(100):
-            a = random_physical_state(rng, displaced=True)
-            b = random_physical_state(rng, displaced=True)
-            fab = core.fidelity_two_mode(a, b).fidelity
-            fba = core.fidelity_two_mode(b, a).fidelity
-            assert fab == pytest.approx(fba, rel=1e-12)
+        pairs = lambda r: (random_physical_state(r, True), random_physical_state(r, True))
+        assert fidelity_properties(rng, 100, pairs)[0] <= 1e-12
 
     def test_overlap_bound_and_identity(self, rng):
-        for _ in range(100):
-            a = random_physical_state(rng)
-            b = random_physical_state(rng)
-            out = core.fidelity_two_mode(a, b)
-            assert out.fidelity <= 1.0 + 1e-10
-            assert out.fidelity >= out.overlap - 1e-12
-            factor = 1.0 + math.sqrt(out.k_minus / out.delta) * (
-                math.sqrt(out.k_plus) + math.sqrt(out.k_minus))
-            assert out.fidelity == pytest.approx(factor * out.overlap, rel=1e-10)
+        pairs = lambda r: (random_physical_state(r), random_physical_state(r))
+        _, excess, overlap, _, identity = fidelity_properties(rng, 100, pairs)
+        assert excess <= 1e-10
+        assert overlap <= 1e-12
+        assert identity <= 1e-10
 
     def test_pure_state_reduces_to_overlap(self, rng):
         for _ in range(25):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaussfisher import geometry
+from gaussfisher import verification as v
 from gaussfisher.errors import ChartDomainError, ValidationError
 from gaussfisher.states import FamilyPoint, separability_threshold
 
@@ -47,12 +48,7 @@ class TestTsMetric:
 
     def test_flat_coordinates(self, rng):
         # x = asinh(sqrt(n)) pulls the metric back to the identity
-        for _ in range(20):
-            n1, n2 = rng.uniform(0.05, 4.0, 2)
-            x1, x2 = math.asinh(math.sqrt(n1)), math.asinh(math.sqrt(n2))
-            jac = np.diag([math.sinh(2.0 * x1), math.sinh(2.0 * x2)])
-            pulled = jac @ geometry.ts_metric(n1, n2).matrix @ jac
-            np.testing.assert_allclose(pulled, np.eye(2), atol=1e-12)
+        assert v.flat_thermal_coordinates(rng, 20) <= 1e-12
 
     def test_mode_swap_symmetry(self):
         a = geometry.ts_metric(0.4, 1.7).matrix
@@ -67,26 +63,25 @@ class TestTsMetric:
 class TestMetricMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
-            geometry.MetricMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                  ("a", "b"), "bures")
+            geometry.MetricMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), ("a", "b"))
 
 
 class TestNumericMetric:
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_step(self, step):
+        with pytest.raises(ValidationError):
+            geometry.numeric_metric(FamilyPoint.mts(2.0, 1.0, 1.2, 0.0), step=step)
+
     def test_mts_against_closed_form(self):
-        point = FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 0.3)
-        numeric = geometry.numeric_metric(point, step=1e-3).matrix
-        h = geometry.qfi_closed(point).h
-        closed = 0.25 * np.array([h[k] for k in geometry.MTS_COORDS])
-        np.testing.assert_allclose(np.diag(numeric), closed, rtol=1e-5)
-        off = numeric - np.diag(np.diag(numeric))
-        assert np.abs(off).max() < 1e-6
+        _, diagonal, off_diagonal = v.metric_deviation(
+            FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 0.3))
+        assert diagonal <= 1e-5
+        assert off_diagonal < 1e-6
 
     def test_sts_against_closed_form(self):
-        point = FamilyPoint.sts(1.0, 0.5, 0.8, -0.4)
-        numeric = geometry.numeric_metric(point).matrix
-        h = geometry.qfi_closed(point).h
-        closed = 0.25 * np.array([h[k] for k in geometry.STS_COORDS])
-        np.testing.assert_allclose(np.diag(numeric), closed, rtol=1e-5)
+        _, diagonal, off_diagonal = v.metric_deviation(FamilyPoint.sts(1.0, 0.5, 0.8, -0.4))
+        assert diagonal <= 1e-5
+        assert off_diagonal < 1e-6
 
     def test_thermal_block_reproduces_ts_metric(self):
         point = FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 0.3)
@@ -135,12 +130,7 @@ class TestWarping:
 
 class TestJeffreysPrior:
     def test_sts_two_variable_form(self, rng):
-        for _ in range(50):
-            n1, n2 = rng.uniform(0.05, 3.0, 2)
-            r = rng.uniform(0.02, 1.5)
-            closed = geometry.jeffreys_prior_sts_closed(n1, n2, r)
-            product = geometry.jeffreys_prior(FamilyPoint.sts(n1, n2, r, 0.4))
-            assert product == pytest.approx(closed, rel=1e-10)
+        assert v.jeffreys_two_variable(rng, 50) <= 1e-10
 
     def test_threshold_value(self):
         rs = separability_threshold(1.2, 0.7)

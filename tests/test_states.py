@@ -240,6 +240,20 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             states.TsParams(-0.1, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda x: states.TsParams(x, 0.5),
+        lambda x: states.TsParams(0.5, x),
+        lambda x: states.MtsParams(x, 0.5, 1.0, 0.0),
+        lambda x: states.MtsParams(0.5, x, 1.0, 0.0),
+        lambda x: states.StsParams(x, 0.5, 0.3, 0.0),
+        lambda x: states.StsParams(0.5, x, 0.3, 0.0),
+        lambda x: states.StsParams(0.5, 0.5, x, 0.0),
+    ], ids=["ts_n1", "ts_n2", "mts_n1", "mts_n2", "sts_n1", "sts_n2", "sts_r"])
+    def test_rejects_non_finite(self, make, value):
+        with pytest.raises(ValidationError, match="finite"):
+            make(value)
+
     def test_rejects_out_of_range_angles(self):
         with pytest.raises(ValidationError):
             states.MtsParams(1.0, 0.5, math.pi, 0.0)
