@@ -271,6 +271,8 @@ def _grid_values(args, default_range, default_count):
             raise ValidationError("--values must be a comma-separated number list") from exc
         if len(values) < 1:
             raise ValidationError("--values must contain at least one number")
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError("--values must be finite numbers")
         return values
     lo, hi = default_range
     if args.range:
@@ -281,6 +283,8 @@ def _grid_values(args, default_range, default_count):
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ValidationError("--range bounds must be numbers") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError("--range bounds must be finite numbers")
     count = default_count if args.count is None else args.count
     if count < 2:
         raise ValidationError("grid needs at least 2 samples")

@@ -9,9 +9,12 @@ truncated generator couples only neighbouring states of one sector, so it
 is a direct sum of tridiagonal sector blocks, built from one matrix
 exponential per block. A state is held as its thermal spectrum plus those
 unitary sector blocks, never as a dense D x D density matrix; Uhlmann
-fidelities and overlaps are taken sector by sector. Only a mode-mixed x
-squeezed pair, which shares no sectoring, forms one dense D x D block and
-takes one dense singular value decomposition.
+fidelities and overlaps are taken sector by sector. A mode-mixed x
+squeezed pair shares no such sectoring, but both devices keep the parity
+of n1 + n2 (the mixer keeps n1 + n2, the squeezer changes it by 2), so
+its fidelity and overlap split into the two parity classes, of
+ceil(D/2) and floor(D/2) indices, and take one singular value
+decomposition each.
 
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
@@ -35,6 +38,7 @@ DEFAULT_MAX_DEFECT = 1e-8
 
 TOTAL = "n1+n2"       # conserved by the mode mixer
 DIFFERENCE = "n1-n2"  # conserved by the two-mode squeezer
+PARITY = "(n1+n2)%2"  # conserved by both
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,9 @@ class FockDensity:
     U is the direct sum of the unitary ``blocks`` over
     ``sectors(d, conserved)``, or the identity when ``blocks`` is None (a
     thermal state). No dense D x D matrix is stored: fidelities and
-    overlaps are computed from the spectrum and the blocks, and only a
-    mode-mixed x squeezed pair forms one dense D x D block.
+    overlaps are computed from the spectrum and the blocks, and a
+    mode-mixed x squeezed pair forms one block per parity class of
+    n1 + n2, of at most ceil(D/2) indices.
     """
 
     d: int
@@ -62,13 +67,17 @@ def sectors(d: int, conserved: str) -> tuple[np.ndarray, ...]:
     ``conserved`` is TOTAL (sectors n1 + n2 = 0, ..., 2d - 2) or
     DIFFERENCE (sectors n1 - n2 = -(d - 1), ..., d - 1). Either way there
     are 2d - 1 sectors of at most d indices each, and n1 ascends within a
-    sector.
+    sector. PARITY gives the two classes of even and odd n1 + n2, of
+    ceil(d^2/2) and floor(d^2/2) indices; each TOTAL or DIFFERENCE sector
+    lies inside one of them.
     """
     n1, n2 = np.divmod(np.arange(d * d), d)
     if conserved == TOTAL:
         key = n1 + n2
     elif conserved == DIFFERENCE:
         key = n1 - n2 + d - 1
+    elif conserved == PARITY:
+        key = (n1 + n2) % 2
     else:
         raise ValidationError(f"unknown conserved quantity {conserved!r}")
     order = np.argsort(key, kind="stable")
@@ -136,10 +145,10 @@ def _sector_unitaries(d: int, conserved: str, coupling: complex):
     return tuple(blocks)
 
 
-def _assemble(blocks, index_sets, dim: int) -> np.ndarray:
-    """Dense dim x dim matrix of a direct sum of sector blocks."""
+def _assemble(pieces, dim: int) -> np.ndarray:
+    """Dense dim x dim matrix of a direct sum of (index set, block) pieces."""
     out = np.zeros((dim, dim), dtype=complex)
-    for idx, block in zip(index_sets, blocks):
+    for idx, block in pieces:
         out[np.ix_(idx, idx)] = block
     return out
 
@@ -165,7 +174,7 @@ def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
 
 def bs_unitary(theta: float, phi: float, d: int) -> np.ndarray:
     """Mode-mixing unitary on the truncated two-mode Fock space."""
-    return _assemble(_bs_blocks(theta, phi, d), sectors(d, TOTAL), d * d)
+    return _assemble(zip(sectors(d, TOTAL), _bs_blocks(theta, phi, d)), d * d)
 
 
 def sq_unitary(r: float, phi: float, d: int,
@@ -178,8 +187,8 @@ def sq_unitary(r: float, phi: float, d: int,
     and the matrix only represents the true operator faithfully on states
     far from the truncation boundary.
     """
-    return _assemble(_sq_blocks(r, phi, d, max_defect),
-                     sectors(d, DIFFERENCE), d * d)
+    return _assemble(zip(sectors(d, DIFFERENCE), _sq_blocks(r, phi, d, max_defect)),
+                     d * d)
 
 
 def family_dm(point: FamilyPoint, d: int,
@@ -207,24 +216,40 @@ def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
 
     States that share a sectoring give one pair per sector; a state without
     blocks is diagonal in the Fock basis and fits either sectoring. A
-    mode-mixed x squeezed pair shares none and gives the one dense pair
-    (slice(None), Ua^dag Ub).
+    mode-mixed x squeezed pair shares neither, but each of its sectors lies
+    inside one parity class of n1 + n2, so it gives one pair per parity
+    class, assembled from the sector blocks in that class. The entries
+    between the classes are exactly zero and are never formed.
     """
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
     kinds = {rho_a.conserved, rho_b.conserved} - {None}
     if len(kinds) > 1:
-        # dense Ub, then Ua^dag applied sector by sector
-        inner = _assemble(rho_b.blocks, sectors(rho_b.d, rho_b.conserved), rho_b.d**2)
-        for idx, ua in zip(sectors(rho_a.d, rho_a.conserved), rho_a.blocks):
-            inner[idx] = ua.conj().T @ inner[idx]
-        yield slice(None), inner
+        d = rho_a.d
+        classes = sectors(d, PARITY)
+        position = np.empty(d * d, dtype=int)  # of each flat index in its class
+        for idx in classes:
+            position[idx] = np.arange(len(idx))
+        for parity, idx in enumerate(classes):
+            # Ub restricted to the class, then Ua^dag applied sector by sector
+            inner = _assemble(_in_class(rho_b, parity, position), len(idx))
+            for rows, ua in _in_class(rho_a, parity, position):
+                inner[rows] = ua.conj().T @ inner[rows]
+            yield idx, inner
         return
     conserved = kinds.pop() if kinds else TOTAL
     for idx, ua, ub in zip(sectors(rho_a.d, conserved),
                            _unitary_blocks(rho_a, conserved),
                            _unitary_blocks(rho_b, conserved)):
         yield idx, ua.conj().T @ ub
+
+
+def _in_class(rho: FockDensity, parity: int, position: np.ndarray):
+    """(positions within parity class ``parity``, unitary block) of each
+    sector of ``rho`` that lies in that class."""
+    for idx, u in zip(sectors(rho.d, rho.conserved), rho.blocks):
+        if sum(divmod(int(idx[0]), rho.d)) % 2 == parity:
+            yield position[idx], u
 
 
 def _unitary_blocks(rho: FockDensity, conserved: str):
@@ -243,7 +268,9 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     outer unitaries,
     || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
       = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
-    and the middle product splits into the blocks of ``_inner_blocks``.
+    and the middle product splits into the blocks of ``_inner_blocks``: one
+    per photon-number sector when the states share a sectoring, one per
+    parity class of n1 + n2 for a mode-mixed x squeezed pair.
     """
     for rho in (rho_a, rho_b):
         if rho.trace_deficit > DEFAULT_MAX_DEFICIT:

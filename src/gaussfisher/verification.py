@@ -442,18 +442,34 @@ def _low_occupancy_point(rng, tag):
                            rng.uniform(0.0, 0.4), rng.uniform(-math.pi, math.pi))
 
 
+def _fock_deviations(pairs, d, fidelity):
+    """Worst |Uhlmann - ``fidelity``| and worst |Fock overlap - general
+    overlap| over ``pairs`` at per-mode truncation ``d``."""
+    rows = []
+    for a, b in pairs:
+        rho_a, rho_b = fock.family_dm(a, d), fock.family_dm(b, d)
+        overlap = core.fidelity_two_mode(a.to_state(), b.to_state()).overlap
+        rows.append((abs(fock.uhlmann_fidelity(rho_a, rho_b) - fidelity(a, b)),
+                     abs(fock.overlap_fock(rho_a, rho_b) - overlap)))
+    return _worst_columns(rows, (0.0, 0.0))
+
+
 def fock_agreement(rng, count, tag, d):
     """Truncated-Fock oracle at per-mode truncation ``d`` on ``count``
     low-occupancy ``tag`` pairs; returns the worst |Uhlmann - closed form|
     and the worst |Fock overlap - general overlap|."""
-    rows = []
-    for _ in range(count):
-        a, b = _low_occupancy_point(rng, tag), _low_occupancy_point(rng, tag)
-        rho_a, rho_b = fock.family_dm(a, d), fock.family_dm(b, d)
-        general = core.fidelity_two_mode(a.to_state(), b.to_state())
-        rows.append((abs(fock.uhlmann_fidelity(rho_a, rho_b) - cf.fidelity_special(a, b)),
-                     abs(fock.overlap_fock(rho_a, rho_b) - general.overlap)))
-    return _worst_columns(rows, (0.0, 0.0))
+    pairs = ((_low_occupancy_point(rng, tag), _low_occupancy_point(rng, tag))
+             for _ in range(count))
+    return _fock_deviations(pairs, d, cf.fidelity_special)
+
+
+def fock_cross_agreement(rng, count, d):
+    """Truncated-Fock oracle at per-mode truncation ``d`` on ``count``
+    low-occupancy mode-mixed x squeezed pairs; returns the worst
+    |Uhlmann - general| and the worst |Fock overlap - general overlap|."""
+    pairs = ((_low_occupancy_point(rng, MTS), _low_occupancy_point(rng, STS))
+             for _ in range(count))
+    return _fock_deviations(pairs, d, _general_fidelity)
 
 
 def commuting_spectral(rng, count):
@@ -595,6 +611,8 @@ def oracle_suite(seed: int, truncation: int | None = None):
     _check(results, "Fock oracle agreement (squeezing)", squeezing, 1e-4)
     _check(results, "Fock overlap agreement", _worst((overlap_mts, overlap_sts)), 1e-6)
     _check(results, "commuting-case spectral fidelity", commuting_spectral(rng, 5), 1e-8)
+    cross = fock_cross_agreement(rng, 2, d_sts)
+    _check(results, "Fock oracle agreement (mixed x squeezed)", _worst(cross), 1e-6)
     return results
 
 

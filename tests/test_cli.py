@@ -232,6 +232,17 @@ class TestSurfaceCommand:
         assert cli.main(["surface", "1", "--range", "5:1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["2a", "--values", "nan"],
+        ["2a", "--values", "1,inf"],
+        ["1", "--range", "0:inf", "--count", "3"],
+        ["1", "--range=-inf:0", "--count", "3"],
+    ], ids=["values_nan", "values_inf", "range_hi_inf", "range_lo_inf"])
+    def test_non_finite_grid_exits_2(self, capsys, argv):
+        assert cli.main(["surface", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
     def test_unknown_figure_exits_2(self, capsys):
         assert cli.main(["surface", "9"]) == 2
         capsys.readouterr()
@@ -266,7 +277,9 @@ class TestVerifyCommand:
         (verification, "fock_agreement",
          lambda rng, count, tag, d: (0.0, math.nan if tag == "STS" else 0.0),
          "oracle", "FAIL [oracle] Fock overlap agreement: worst nan"),
-    ], ids=["affinity", "oracle_overlap"])
+        (verification, "fock_cross_agreement", lambda rng, count, d: (0.0, math.nan),
+         "oracle", "FAIL [oracle] Fock oracle agreement (mixed x squeezed): worst nan"),
+    ], ids=["affinity", "oracle_overlap", "oracle_cross"])
     def test_nan_fails_its_check(self, capsys, monkeypatch, owner, name, fake, suite, failure):
         monkeypatch.setattr(owner, name, fake)
         assert cli.main(["verify", suite]) == 1

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from gaussfisher import closed_form as cf
-from gaussfisher import core, fock
+from gaussfisher import core, fock, verification
 from gaussfisher.errors import TruncationError, ValidationError
 from gaussfisher.states import MTS, STS, FamilyPoint
 
@@ -24,14 +24,19 @@ def dense_matrix(point, d):
     bs_unitary / sq_unitary (checked against the kron-built expm below), or
     is the identity for a thermal state."""
     w = fock.family_dm(point, d).spectrum
+    u = dense_unitary(point, d)
+    return (u * w) @ u.conj().T
+
+
+def dense_unitary(point, d):
+    """Dense device unitary of a family point; the identity for a thermal
+    state."""
     p = point.params
     if point.tag == MTS:
-        u = fock.bs_unitary(p.theta, p.phi, d)
-    elif point.tag == STS:
-        u = fock.sq_unitary(p.r, p.phi, d)
-    else:
-        return np.diag(w.astype(complex))
-    return (u * w) @ u.conj().T
+        return fock.bs_unitary(p.theta, p.phi, d)
+    if point.tag == STS:
+        return fock.sq_unitary(p.r, p.phi, d)
+    return np.eye(d * d, dtype=complex)
 
 
 class TestThermalDm:
@@ -89,6 +94,26 @@ class TestSectors:
             n1, n2 = np.divmod(idx, d)
             assert len(set(n1 + sign * n2)) == 1
             assert np.all(np.diff(n1) == 1)
+
+    @pytest.mark.parametrize("d", [2, 6, 13])
+    def test_parity_classes(self, d):
+        even, odd = fock.sectors(d, fock.PARITY)
+        assert (len(even), len(odd)) == ((d * d + 1) // 2, d * d // 2)
+        for parity, idx in enumerate((even, odd)):
+            n1, n2 = np.divmod(idx, d)
+            assert np.all((n1 + n2) % 2 == parity) and np.all(np.diff(idx) > 0)
+        for conserved in (fock.TOTAL, fock.DIFFERENCE):
+            for idx in fock.sectors(d, conserved):
+                assert set(idx) <= set(even) or set(idx) <= set(odd)
+
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_cross_family_product_keeps_parity(self, d):
+        # the premise of the parity split: every entry of Ua^dag Ub that
+        # joins the two parity classes of n1 + n2 is exactly zero
+        n1, n2 = np.divmod(np.arange(d * d), d)
+        parity = (n1 + n2) % 2
+        product = fock.bs_unitary(1.2, 0.4, d).conj().T @ fock.sq_unitary(0.3, -0.8, d)
+        assert np.all(product[parity[:, None] != parity[None, :]] == 0.0)
 
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValidationError):
@@ -204,7 +229,7 @@ class TestUhlmannFidelity:
         monkeypatch.setattr(fock, "_trace_norm", recording)
         return sizes
 
-    def test_cross_family_takes_dense_path(self, svd_sizes):
+    def test_cross_family_takes_parity_path(self, svd_sizes):
         d = 16
         a = FamilyPoint.mts(0.3, 0.15, 1.2, 0.4)
         b = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
@@ -212,7 +237,7 @@ class TestUhlmannFidelity:
         for pair in ((a, b), (b, a)):
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-10)
-        assert svd_sizes == [d * d, d * d]
+        assert svd_sizes == [(d * d + 1) // 2, d * d // 2] * 2
 
     @pytest.mark.parametrize("device", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
                                         FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
@@ -224,6 +249,26 @@ class TestUhlmannFidelity:
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-9)
         assert len(svd_sizes) == 2 * (2 * d - 1) and max(svd_sizes) == d
+
+    @pytest.mark.parametrize("d", [12, 13])
+    def test_cross_family_matches_one_dense_svd(self, d, svd_sizes):
+        # at d = 13 the parity classes hold 85 and 84 indices
+        a = FamilyPoint.mts(0.3, 0.15, 1.2, 0.4)
+        b = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
+        for first, second in ((a, b), (b, a)):
+            rho_a, rho_b = fock.family_dm(first, d), fock.family_dm(second, d)
+            inner = dense_unitary(first, d).conj().T @ dense_unitary(second, d)
+            sqrt_a, sqrt_b = np.sqrt(rho_a.spectrum), np.sqrt(rho_b.spectrum)
+            fidelity = np.linalg.svd(sqrt_a[:, None] * inner * sqrt_b[None, :],
+                                     compute_uv=False).sum() ** 2
+            overlap = rho_a.spectrum @ np.abs(inner) ** 2 @ rho_b.spectrum
+            assert abs(fock.uhlmann_fidelity(rho_a, rho_b) - fidelity) <= 1e-13
+            assert abs(fock.overlap_fock(rho_a, rho_b) - overlap) <= 1e-13
+        assert max(svd_sizes) == (d * d + 1) // 2
+
+    def test_cross_family_catalogue_check(self):
+        fidelity, overlap = verification.fock_cross_agreement(np.random.default_rng(5), 2, 20)
+        assert fidelity <= 1e-6 and overlap <= 1e-6
 
     def test_incompatible_truncations_rejected(self):
         with pytest.raises(ValidationError):
