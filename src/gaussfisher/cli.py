@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form as cf
-from . import core, curvature, fock, geometry, verification
+from . import core, curvature, fock, geometry, tolerances, verification
 from .errors import ChartDomainError, GaussFisherError, ValidationError
 from .states import MTS, STS, TS, FamilyPoint, family_cov
 
@@ -331,6 +331,7 @@ def cmd_verify(args) -> int:
     names = ["core", "appendix", "geometry"] if args.suite == "all" else [args.suite]
     if args.suite == "all" and args.include_oracle:
         names.append("oracle")
+    print(f"TOLERANCES {tolerances.describe()}")
     failures = 0
     for name in names:
         if name == "oracle":

@@ -1,11 +1,18 @@
 """Numerical tolerances, overridable through GAUSSFISHER_* environment variables.
 
 Every field of :class:`Tolerances` can be overridden by exporting
-``GAUSSFISHER_<FIELD>`` (upper-case), e.g. ``GAUSSFISHER_PSD=1e-8``.
+``GAUSSFISHER_<FIELD>`` (upper-case), e.g. ``GAUSSFISHER_PSD=1e-8``. The
+environment is read once per process, at the first :func:`current` call;
+later calls return the same record. :func:`reload` is the one way to pick up
+changed variables. An override that is not a finite non-negative number
+raises :class:`~gaussfisher.errors.ValidationError` naming the variable.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -34,11 +41,48 @@ class Tolerances:
     block: float = 1e-9
 
 
-def current() -> Tolerances:
-    """Tolerances with any GAUSSFISHER_* environment overrides applied."""
+_current: Tolerances | None = None
+_overridden: frozenset = frozenset()
+
+
+def _read_overrides() -> dict:
     overrides = {}
     for f in fields(Tolerances):
-        raw = os.environ.get("GAUSSFISHER_" + f.name.upper())
-        if raw is not None:
-            overrides[f.name] = float(raw)
-    return Tolerances(**overrides)
+        name = "GAUSSFISHER_" + f.name.upper()
+        raw = os.environ.get(name)
+        if raw is None:
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        # NaN would turn every `x > tol` check off; a negative slack rejects
+        # valid input
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"{name}={raw!r} is not a finite non-negative number")
+        overrides[f.name] = value
+    return overrides
+
+
+def reload() -> Tolerances:
+    """Re-read the GAUSSFISHER_* environment and make the result current."""
+    global _current, _overridden
+    # a failed re-read leaves nothing in force, so the next current() raises too
+    _current = None
+    overrides = _read_overrides()
+    _current, _overridden = Tolerances(**overrides), frozenset(overrides)
+    return _current
+
+
+def current() -> Tolerances:
+    """Tolerances with the GAUSSFISHER_* overrides read at first use."""
+    return _current if _current is not None else reload()
+
+
+def describe() -> str:
+    """The current tolerances as ``name=value`` pairs, ``*`` marking overrides."""
+    tol = current()
+    return " ".join(
+        f"{f.name}={getattr(tol, f.name)!r}{'*' if f.name in _overridden else ''}"
+        for f in fields(Tolerances)
+    )

@@ -93,6 +93,15 @@ class TestFidelityCommand:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_bad_tolerance_override_exits_2(self, tmp_path, capsys, tolerance_env):
+        path = write(tmp_path, "a.txt", MTS_DOC)
+        with pytest.raises(ValidationError):
+            tolerance_env(psd="abc")
+        assert cli.main(["fidelity", path, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: GAUSSFISHER_PSD='abc'")
+
 
 class TestMetricCommand:
     def test_mts_anchor_components(self, tmp_path, capsys):
@@ -270,6 +279,13 @@ class TestVerifyCommand:
         assert cli.main(["verify", "core"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    # finite stand-ins for the Fock checks, so a NaN case runs no real oracle
+    ORACLE_STUBS = {
+        "fock_agreement": lambda rng, count, tag, d: (1e-15, 1e-15),
+        "fock_cross_agreement": lambda rng, count, d: (1e-15, 1e-15),
+        "commuting_spectral": lambda rng, count: 1e-15,
+    }
+
     @pytest.mark.parametrize("owner, name, fake, suite, failure", [
         (verification.cf, "q_affinity", lambda x, y: math.nan,
          "appendix", "FAIL [appendix] affinity function at least one: worst nan"),
@@ -281,9 +297,27 @@ class TestVerifyCommand:
          "oracle", "FAIL [oracle] Fock oracle agreement (mixed x squeezed): worst nan"),
     ], ids=["affinity", "oracle_overlap", "oracle_cross"])
     def test_nan_fails_its_check(self, capsys, monkeypatch, owner, name, fake, suite, failure):
+        if suite == "oracle":
+            for stub_name, stub in self.ORACLE_STUBS.items():
+                monkeypatch.setattr(verification, stub_name, stub)
         monkeypatch.setattr(owner, name, fake)
         assert cli.main(["verify", suite]) == 1
-        assert failure in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert failure in out
+        if suite == "oracle":
+            assert out.count("FAIL") == 1
+
+    def test_leading_line_lists_tolerances(self, capsys, tolerance_env):
+        assert cli.main(["verify", "core", "--seed", "11"]) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert default[0] == (
+            "TOLERANCES sym=1e-12 psd=1e-10 edge=1e-09 imag=1e-09 invariant=1e-09 "
+            "branch=1e-10 kminus=1e-11 prob_norm=1e-09 block=1e-09")
+        tolerance_env(psd="1e-8")
+        assert cli.main(["verify", "core", "--seed", "11"]) == 0
+        overridden = capsys.readouterr().out.splitlines()
+        assert overridden[0] == default[0].replace("psd=1e-10", "psd=1e-08*")
+        assert overridden[1:] == default[1:]
 
     def test_zero_truncation_exits_2(self, capsys):
         assert cli.main(["verify", "oracle", "--truncation", "0"]) == 2

@@ -68,8 +68,8 @@ class TestCheckPhysical:
         assert np.abs(v).max() > 1e10
         assert not report.physical
 
-    def test_env_override_loosens_psd(self, monkeypatch):
-        monkeypatch.setenv("GAUSSFISHER_PSD", "1.0")
+    def test_env_override_loosens_psd(self, tolerance_env):
+        tolerance_env(psd="1.0")
         assert core.check_physical(0.25 * np.eye(4)).physical
 
 
