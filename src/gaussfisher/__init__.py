@@ -18,10 +18,8 @@ from .errors import (ChartDomainError, GaussFisherError,
 from .geometry import (MetricMatrix, QfiDiagonal, ball_volume_expansion,
                        cramer_rao, jeffreys_prior, jeffreys_prior_sts_closed,
                        numeric_metric, qfi_closed, ts_metric)
-from .states import (FamilyPoint, MtsParams, StandardForm, StsParams,
-                     TsParams, bs_symplectic, family_cov,
-                     occupancy_from_ratio, ratio_from_occupancy, rotation2,
-                     separability_threshold, sq_symplectic, standard_form,
-                     thermal_cov)
+from .states import (FamilyPoint, MtsParams, StsParams, TsParams,
+                     bs_symplectic, family_cov, rotation2,
+                     separability_threshold, sq_symplectic, thermal_cov)
 
 __version__ = "0.1.0"

@@ -42,7 +42,8 @@ def parse_state_document(text: str) -> StateSpec:
 
     Keys: ``family`` (TS/MTS/STS), ``n1``, ``n2``, ``theta`` (MTS) or
     ``r`` (STS), ``phi``, and optionally ``mean`` with four
-    comma-separated quadrature offsets. ``#`` starts a comment.
+    comma-separated quadrature offsets. ``#`` starts a comment. A
+    repeated key is an error.
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -52,7 +53,10 @@ def parse_state_document(text: str) -> StateSpec:
         if "=" not in line:
             raise ValidationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in entries:
+            raise ValidationError(f"line {lineno}: repeated key {key!r}")
+        entries[key] = value.strip()
 
     family = entries.pop("family", None)
     if family is None:
@@ -328,6 +332,8 @@ def cmd_surface(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValidationError("--seed must be a non-negative integer")
     names = ["core", "appendix", "geometry"] if args.suite == "all" else [args.suite]
     if args.suite == "all" and args.include_oracle:
         names.append("oracle")

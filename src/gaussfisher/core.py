@@ -59,7 +59,6 @@ def validate_cov(cov, *, size: int = 4) -> np.ndarray:
 @dataclass(frozen=True)
 class PhysicalityReport:
     physical: bool
-    edge: bool
     min_eigenvalue: float
 
 
@@ -68,19 +67,15 @@ def check_physical(cov) -> PhysicalityReport:
 
     The smallest eigenvalue may undershoot zero by ``psd`` plus the
     eigensolver roundoff, which grows with the entries of V.
-    ``edge`` flags det(V + iJ/2) ~ 0, which holds for every pure Gaussian
-    state and for some special mixed ones.
     """
     tol = current_tol()
     cov = validate_cov(cov)
     m = cov + 0.5j * symplectic_form()
     eigs = np.linalg.eigvalsh(m)
-    det = np.linalg.det(m)
     # for a Hermitian matrix the spectral norm is the largest |eigenvalue|
     norm = max(abs(eigs[0]), abs(eigs[-1]))
     return PhysicalityReport(
         physical=bool(eigs[0] >= -(tol.psd + _EIG_ROUNDOFF * norm)),
-        edge=bool(abs(det) <= tol.edge),
         min_eigenvalue=float(eigs[0]),
     )
 

@@ -10,7 +10,7 @@ convention is fixed so the unit round sphere has scalar curvature +2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,10 +56,8 @@ class MetricField:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    point: tuple
     scalar_r: float
-    method: str
-    residuals: dict = field(default_factory=dict)
+    residuals: dict
 
 
 def _richardson_diff(f: Callable[[float], np.ndarray], h: float) -> np.ndarray:
@@ -140,12 +138,7 @@ def scalar_curvature_pipeline(fld: MetricField, point, step: float = 1e-3) -> Cu
     antisym = float(np.abs(riemann + np.transpose(riemann, (0, 1, 3, 2))).max())
     ricci = np.einsum("ijil->jl", riemann)
     scalar = float(np.einsum("jl,jl->", ginv, ricci))
-    return CurvatureReport(
-        point=tuple(x),
-        scalar_r=scalar,
-        method="pipeline",
-        residuals={"antisymmetry": antisym},
-    )
+    return CurvatureReport(scalar_r=scalar, residuals={"antisymmetry": antisym})
 
 
 def scalar_closed(family_tag: str, n1: float, n2: float) -> float:

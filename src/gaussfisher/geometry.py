@@ -255,7 +255,8 @@ def jeffreys_prior_sts_closed(n1: float, n2: float, r: float) -> float:
 
 def cramer_rao(h: QfiDiagonal, n_measurements: int) -> dict:
     """Variance lower bounds 1/(N * H_xi) per chart coordinate."""
-    if int(n_measurements) != n_measurements or n_measurements < 1:
+    # chained so that NaN and inf fail before int() sees them
+    if not (1 <= n_measurements < math.inf and int(n_measurements) == n_measurements):
         raise ValidationError("number of measurements must be a positive integer")
     bounds = {}
     for name, value in h.h.items():
@@ -273,9 +274,9 @@ def ball_volume_expansion(n: int, eps: float, r_scalar: float) -> float:
     V = V_n(1) eps^n - V_n(1)/(n+2) R eps^(n+2), with V_n(1) the Euclidean
     unit-ball volume pi^(n/2)/Gamma(n/2+1).
     """
-    if int(n) != n or n < 1:
+    if not (1 <= n < math.inf and int(n) == n):
         raise ValidationError("dimension must be a positive integer")
-    if eps <= 0.0:
-        raise ValidationError("radius must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError("radius must be positive and finite")
     unit = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     return unit * eps**n - unit / (n + 2.0) * r_scalar * eps ** (n + 2)

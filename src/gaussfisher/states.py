@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoModeGaussian, validate_cov
+from .core import TwoModeGaussian
 from .errors import ValidationError
-from .tolerances import current as current_tol
 
 TS = "TS"
 MTS = "MTS"
@@ -108,20 +107,6 @@ class FamilyPoint:
         return TwoModeGaussian(mean=np.zeros(4), cov=family_cov(self))
 
 
-def occupancy_from_ratio(eta: float) -> float:
-    """Bose-Einstein mean photon number from the ratio hbar*omega/(kT)."""
-    if eta <= 0.0:
-        raise ValidationError("eta must be positive")
-    return 1.0 / math.expm1(eta)
-
-
-def ratio_from_occupancy(n: float) -> float:
-    """Inverse of :func:`occupancy_from_ratio`: eta = ln((n+1)/n)."""
-    if n <= 0.0:
-        raise ValidationError("mean photon number must be positive")
-    return math.log1p(1.0 / n)
-
-
 def thermal_cov(params: TsParams) -> np.ndarray:
     """Diagonal covariance matrix of a two-mode thermal state."""
     b1 = params.n1 + 0.5
@@ -183,69 +168,6 @@ def family_cov(point: FamilyPoint) -> np.ndarray:
         s = sq_symplectic(p.r, p.phi)
     m = s @ base @ s.T
     return 0.5 * (m + m.T)
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """Canonical block entries (b1, b2, c, d) of a two-mode covariance matrix.
-
-    For MTS points c = d >= 0, for STS points d = -c <= 0, for TS points
-    c = d = 0. The reported c is |c|; an MTS with n1 < n2 has raw
-    cross-correlation of opposite sign, which this canonicalization absorbs.
-    """
-
-    b1: float
-    b2: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        tol = current_tol()
-        if self.b1 < 0.5 - tol.block or self.b2 < 0.5 - tol.block:
-            raise ValidationError("standard-form b parameters must be >= 1/2")
-        if self.c < abs(self.d) - tol.block:
-            raise ValidationError("standard form requires c >= |d|")
-
-
-def standard_form(cov, family_tag: str) -> StandardForm:
-    """Read the standard-form parameters off a family covariance matrix.
-
-    The input must have the family block pattern: b_j I diagonal blocks and
-    a cross block proportional to R(-phi) (MTS) or to
-    cos(phi) sigma_3 + sin(phi) sigma_1 (STS). Residues beyond tolerance
-    raise :class:`ValidationError`.
-    """
-    tol = current_tol().block
-    cov = validate_cov(cov)
-    if family_tag not in _PARAM_TYPES:
-        raise ValidationError(f"unknown family tag {family_tag!r}")
-
-    v1 = cov[:2, :2]
-    v2 = cov[2:, 2:]
-    cross = cov[:2, 2:]
-    for name, block in (("mode-1", v1), ("mode-2", v2)):
-        if abs(block[0, 0] - block[1, 1]) > tol or abs(block[0, 1]) > tol:
-            raise ValidationError(f"{name} block is not a multiple of the identity")
-    b1 = 0.5 * (v1[0, 0] + v1[1, 1])
-    b2 = 0.5 * (v2[0, 0] + v2[1, 1])
-
-    if family_tag == TS:
-        if np.abs(cross).max() > tol:
-            raise ValidationError("thermal states have no cross-correlations")
-        return StandardForm(b1, b2, 0.0, 0.0)
-
-    if family_tag == MTS:
-        # c * R(-phi): equal diagonal, antisymmetric off-diagonal
-        if abs(cross[0, 0] - cross[1, 1]) > tol or abs(cross[0, 1] + cross[1, 0]) > tol:
-            raise ValidationError("cross block does not match the MTS pattern")
-        c = math.hypot(cross[0, 0], cross[0, 1])
-        return StandardForm(b1, b2, c, c)
-
-    # STS: c * (cos(phi) sigma_3 + sin(phi) sigma_1): traceless symmetric
-    if abs(cross[0, 0] + cross[1, 1]) > tol or abs(cross[0, 1] - cross[1, 0]) > tol:
-        raise ValidationError("cross block does not match the STS pattern")
-    c = math.hypot(cross[0, 0], cross[0, 1])
-    return StandardForm(b1, b2, c, -c)
 
 
 def separability_threshold(n1: float, n2: float) -> float:

@@ -22,8 +22,6 @@ class Tolerances:
     # physicality: smallest eigenvalue of V + (i/2)J may undershoot by this much,
     # on top of the eigensolver roundoff allowed in core.check_physical
     psd: float = 1e-10
-    # |det(V + iJ/2)| below this counts as the physicality edge
-    edge: float = 1e-9
     # imaginary / negative residue allowed in the complex edge determinants,
     # scaled by (1 + |Re|)
     imag: float = 1e-9
@@ -37,8 +35,6 @@ class Tolerances:
     kminus: float = 1e-11
     # probability vectors must be normalized to within this
     prob_norm: float = 1e-9
-    # off-pattern residue allowed when reading standard-form blocks
-    block: float = 1e-9
 
 
 _current: Tolerances | None = None

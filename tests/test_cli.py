@@ -60,6 +60,14 @@ class TestStateDocuments:
         with pytest.raises(ValidationError, match="wobble"):
             cli.parse_state_document(MTS_DOC + "wobble = 3\n")
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # STS_DOC sets r = 0.7 on line 4; a later r must not win silently
+        doc = STS_DOC + "r = 2\n"
+        with pytest.raises(ValidationError, match="line 6: repeated key 'r'"):
+            cli.parse_state_document(doc)
+        assert cli.main(["metric", write(tmp_path, "a.txt", doc)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestFidelityCommand:
     def test_identical_specs(self, tmp_path, capsys):
@@ -273,6 +281,11 @@ class TestVerifyCommand:
         assert cli.main(["verify", "all", "--seed", "11"]) == 0
         assert "gated behind --include-oracle" in capsys.readouterr().out
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["verify", "core", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed" in captured.err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = lambda seed: [verification.CheckResult("forced", False, "boom")]
         monkeypatch.setitem(verification.SUITES, "core", failing)
@@ -311,8 +324,8 @@ class TestVerifyCommand:
         assert cli.main(["verify", "core", "--seed", "11"]) == 0
         default = capsys.readouterr().out.splitlines()
         assert default[0] == (
-            "TOLERANCES sym=1e-12 psd=1e-10 edge=1e-09 imag=1e-09 invariant=1e-09 "
-            "branch=1e-10 kminus=1e-11 prob_norm=1e-09 block=1e-09")
+            "TOLERANCES sym=1e-12 psd=1e-10 imag=1e-09 invariant=1e-09 "
+            "branch=1e-10 kminus=1e-11 prob_norm=1e-09")
         tolerance_env(psd="1e-8")
         assert cli.main(["verify", "core", "--seed", "11"]) == 0
         overridden = capsys.readouterr().out.splitlines()

@@ -35,12 +35,14 @@ class TestSymplecticForm:
 class TestCheckPhysical:
     def test_vacuum_is_edge(self):
         report = core.check_physical(0.5 * np.eye(4))
-        assert report.physical and report.edge
+        assert report.physical
         assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-14)
 
     def test_thermal_interior(self):
+        # eigenvalues of V + iJ/2 are (n + 1/2) +- 1/2 per mode
         report = core.check_physical(thermal4(1.0, 1.0))
-        assert report.physical and not report.edge
+        assert report.physical
+        assert report.min_eigenvalue == pytest.approx(1.0, rel=1e-14)
 
     def test_quarter_identity_unphysical(self):
         # eigenvalues of (1/4)I + (i/2)J are 1/4 +- 1/2, so -1/4 appears
@@ -144,7 +146,8 @@ class TestFidelityTwoMode:
             r = rng.uniform(0.1, 1.0)
             pure = FamilyPoint.sts(0.0, 0.0, r, rng.uniform(-3.0, 3.0)).to_state()
             mixed = random_physical_state(rng)
-            assert core.check_physical(pure.cov).edge
+            # a pure state sits on the physicality edge
+            assert core.check_physical(pure.cov).min_eigenvalue == pytest.approx(0.0, abs=1e-12)
             out = core.fidelity_two_mode(pure, mixed)
             assert out.fidelity == pytest.approx(out.overlap, abs=1e-9)
 

@@ -263,26 +263,3 @@ class TestLandmarks:
         assert grad(f, NS, NS) < 1e-8
         # a nearby non-stationary point has a visible gradient
         assert grad(f, NS + 0.2, NS) > 1e-2
-
-    def test_sts_inflection_point(self):
-        # locate the sign change of the second derivative along n1 = n2 = n:
-        # the symmetric section is concave right after its maximum and turns
-        # convex on the approach to the asymptote
-        h = 1e-4
-
-        def second(n):
-            f = lambda m: cv.scalar_closed("STS", m, m)
-            return (f(n - h) - 2.0 * f(n) + f(n + h)) / h**2
-
-        lo, hi = 0.7, 1.5
-        assert second(lo) < 0.0 < second(hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if second(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        n_inflection = 0.5 * (lo + hi)
-        assert n_inflection == pytest.approx(0.9565, abs=1e-3)
-        assert cv.scalar_closed("STS", n_inflection, n_inflection) == pytest.approx(
-            -10.5140, abs=1e-3)

@@ -167,8 +167,9 @@ class TestCramerRao:
 
     def test_rejects_bad_measurement_count(self):
         h = geometry.qfi_closed(FamilyPoint.sts(1.0, 0.5, 0.7, 0.0))
-        with pytest.raises(ValidationError):
-            geometry.cramer_rao(h, 0)
+        for count in (0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                geometry.cramer_rao(h, count)
 
 
 class TestBallVolume:
@@ -188,7 +189,6 @@ class TestBallVolume:
         assert high < low < geometry.ball_volume_expansion(4, eps, 0.0)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValidationError):
-            geometry.ball_volume_expansion(0, 1.0, 0.0)
-        with pytest.raises(ValidationError):
-            geometry.ball_volume_expansion(4, -1.0, 0.0)
+        for n, eps in ((0, 1.0), (math.nan, 1.0), (4, -1.0), (4, math.nan), (4, math.inf)):
+            with pytest.raises(ValidationError):
+                geometry.ball_volume_expansion(n, eps, 0.0)

@@ -15,31 +15,6 @@ angles = st.floats(min_value=-math.pi + 1e-9, max_value=math.pi)
 thetas = st.floats(min_value=0.0, max_value=math.pi - 1e-9)
 
 
-class TestOccupancyConversions:
-    def test_ln2_gives_one(self):
-        assert states.occupancy_from_ratio(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_one_gives_ln2(self):
-        assert states.ratio_from_occupancy(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-
-    def test_round_trip(self):
-        assert states.occupancy_from_ratio(
-            states.ratio_from_occupancy(0.37)) == pytest.approx(0.37, abs=1e-12)
-
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_rejects_nonpositive(self, value):
-        with pytest.raises(ValidationError):
-            states.occupancy_from_ratio(value)
-        with pytest.raises(ValidationError):
-            states.ratio_from_occupancy(value)
-
-    @given(st.floats(min_value=1e-6, max_value=50.0))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_everywhere(self, n):
-        assert states.occupancy_from_ratio(
-            states.ratio_from_occupancy(n)) == pytest.approx(n, rel=1e-12)
-
-
 class TestThermalCov:
     def test_vacuum(self):
         np.testing.assert_allclose(
@@ -53,9 +28,12 @@ class TestThermalCov:
     def test_physical_and_edge_flags(self, rng):
         for _ in range(20):
             n1, n2 = rng.uniform(0.01, 3.0, 2)
+            # eigenvalues of V + iJ/2 are (n + 1/2) +- 1/2 per mode
             report = check_physical(states.thermal_cov(states.TsParams(n1, n2)))
-            assert report.physical and not report.edge
-        assert check_physical(states.thermal_cov(states.TsParams(1.0, 0.0))).edge
+            assert report.physical
+            assert report.min_eigenvalue == pytest.approx(min(n1, n2), rel=1e-12)
+        report = check_physical(states.thermal_cov(states.TsParams(1.0, 0.0)))
+        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-14)
 
 
 class TestRotation:
@@ -170,53 +148,6 @@ class TestFamilyCov:
         cov = states.family_cov(point)
         np.testing.assert_array_equal(cov, cov.T)
         assert np.array_equal(point.to_state().cov, cov)
-
-
-class TestStandardForm:
-    def test_thermal(self):
-        form = states.standard_form(
-            states.thermal_cov(states.TsParams(1.0, 2.0)), states.TS)
-        assert (form.b1, form.b2, form.c, form.d) == (1.5, 2.5, 0.0, 0.0)
-
-    def test_squeezed_vacuum(self):
-        cov = states.family_cov(states.FamilyPoint.sts(0.0, 0.0, 1.0, 0.0))
-        form = states.standard_form(cov, states.STS)
-        assert form.b1 == pytest.approx(0.5 * math.cosh(2.0))
-        assert form.b2 == pytest.approx(0.5 * math.cosh(2.0))
-        assert form.c == pytest.approx(0.5 * math.sinh(2.0))
-        assert form.d == pytest.approx(-0.5 * math.sinh(2.0))
-
-    def test_phase_leaves_standard_form(self):
-        ref = states.standard_form(
-            states.family_cov(states.FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 0.0)),
-            states.MTS)
-        rotated = states.standard_form(
-            states.family_cov(states.FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 1.0)),
-            states.MTS)
-        assert rotated.b1 == pytest.approx(ref.b1)
-        assert rotated.b2 == pytest.approx(ref.b2)
-        assert rotated.c == pytest.approx(ref.c)
-        assert rotated.d == pytest.approx(ref.d)
-
-    def test_inequalities_on_draws(self, rng):
-        for _ in range(100):
-            n1, n2 = rng.uniform(0.0, 3.0, 2)
-            if rng.random() < 0.5:
-                point = states.FamilyPoint.mts(
-                    n1, n2, rng.uniform(0.0, math.pi - 1e-6), rng.uniform(-3.0, 3.0))
-            else:
-                point = states.FamilyPoint.sts(n1, n2, rng.uniform(0.0, 1.5),
-                                               rng.uniform(-3.0, 3.0))
-            form = states.standard_form(states.family_cov(point), point.tag)
-            assert form.b1 >= 0.5 - 1e-12 and form.b2 >= 0.5 - 1e-12
-            assert form.c >= abs(form.d) - 1e-12
-
-    def test_rejects_wrong_pattern(self):
-        cov = states.family_cov(states.FamilyPoint.sts(0.5, 0.2, 0.8, 0.3))
-        with pytest.raises(ValidationError):
-            states.standard_form(cov, states.MTS)
-        with pytest.raises(ValidationError):
-            states.standard_form(cov, states.TS)
 
 
 class TestSeparabilityThreshold:
