@@ -19,8 +19,6 @@ from . import core, curvature, fock, geometry, tolerances, verification
 from .errors import ChartDomainError, GaussFisherError, ValidationError
 from .states import MTS, STS, TS, FamilyPoint, family_cov
 
-_DEVICE_KEYS = {TS: None, MTS: "theta", STS: "r"}
-
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -94,19 +92,6 @@ def parse_state_document(text: str) -> StateSpec:
     if entries:
         raise ValidationError(f"unrecognized keys in state document: {sorted(entries)}")
     return StateSpec(point=point, mean=mean)
-
-
-def render_state_document(spec: StateSpec) -> str:
-    """Serialize a StateSpec so that re-parsing gives an equal record."""
-    p = spec.point.params
-    lines = [f"family = {spec.point.tag}", f"n1 = {p.n1!r}", f"n2 = {p.n2!r}"]
-    device = _DEVICE_KEYS[spec.point.tag]
-    if device is not None:
-        lines.append(f"{device} = {getattr(p, device)!r}")
-        lines.append(f"phi = {p.phi!r}")
-    if spec.displaced:
-        lines.append("mean = " + ", ".join(repr(v) for v in spec.mean))
-    return "\n".join(lines) + "\n"
 
 
 def _load_spec(path: str) -> StateSpec:
@@ -191,8 +176,7 @@ def cmd_metric(args) -> int:
     except ChartDomainError:
         rows.append(("jeffreys_prior", math.inf))
     if args.numeric:
-        metric, diag_deviation, off_diagonal = verification.metric_deviation(
-            spec.point, step=args.step)
+        metric, diag_deviation, off_diagonal = verification.metric_deviation(spec.point)
         for i, name in enumerate(names):
             rows.append((f"numeric_bures_row_{name}",
                          ", ".join(repr(float(v)) for v in metric.matrix[i])))
@@ -205,8 +189,8 @@ def cmd_curvature(args) -> int:
     family = args.family.upper()
     if family not in (MTS, STS):
         raise ValidationError("curvature is defined for the MTS and STS families")
-    if not all(math.isfinite(v) for v in [args.n1, args.n2, args.step, *(args.device or [])]):
-        raise ValidationError("n1, n2, --device and --step must be finite numbers")
+    if not all(math.isfinite(v) for v in [args.n1, args.n2, *(args.device or [])]):
+        raise ValidationError("n1, n2 and --device must be finite numbers")
     methods = ("closed", "pipeline", "warped") if args.method == "all" else (args.method,)
     rows = [("family", family), ("n1", args.n1), ("n2", args.n2), ("method", args.method)]
     values = {}
@@ -226,7 +210,7 @@ def cmd_curvature(args) -> int:
         field = curvature.family_metric_field(family)
         try:
             report = curvature.scalar_curvature_pipeline(
-                field, [args.n1, args.n2, coordinate, device[1]], step=args.step)
+                field, [args.n1, args.n2, coordinate, device[1]])
             values["pipeline"] = report.scalar_r
             rows.append(("pipeline_antisymmetry_residual",
                          report.residuals["antisymmetry"]))
@@ -340,11 +324,7 @@ def cmd_verify(args) -> int:
     print(f"TOLERANCES {tolerances.describe()}")
     failures = 0
     for name in names:
-        if name == "oracle":
-            results = verification.oracle_suite(args.seed, truncation=args.truncation)
-        else:
-            results = verification.SUITES[name](args.seed)
-        for result in results:
+        for result in verification.SUITES[name](args.seed):
             status = "PASS" if result.passed else "FAIL"
             print(f"{status} [{name}] {result.name}: {result.detail}")
             failures += 0 if result.passed else 1
@@ -405,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--numeric", action="store_true",
                    help="append the finite-difference Bures metric")
-    p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--measurements", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_metric)
@@ -419,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", type=float, nargs=2, default=None,
                    metavar=("THETA_OR_R", "PHI"),
                    help="device point for the pipeline route")
-    p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curvature)
 
@@ -437,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--include-oracle", action="store_true",
                    help="include the Fock oracle suite in 'all'")
-    p.add_argument("--truncation", type=int, default=None,
-                   help="per-mode Fock truncation override for the oracle suite")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="truncated-Fock fidelity cross-check")

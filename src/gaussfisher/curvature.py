@@ -24,6 +24,9 @@ SADDLE_OCCUPANCY = math.sqrt(1.15) - 0.5
 
 _COND_LIMIT = 1e10
 
+# relative step of the pipeline's Richardson differences of the Christoffel symbols
+_RELATIVE_STEP = 1e-3
+
 # pipeline domain guards: chart degeneracies make the 4x4 metric singular
 _GUARD_OCC = 1e-3
 _GUARD_GAP = 1e-3
@@ -34,15 +37,14 @@ _GUARD_ANGLE = 0.05
 class MetricField:
     """A metric tensor field over a coordinate chart.
 
-    ``metric`` maps a point to the (dim x dim) matrix; ``partials``, when
-    given, maps a point to the (dim, dim, dim) array of coordinate
-    derivatives with ``partials(x)[k] = d g / d x_k``. Without it, partial
-    derivatives fall back to Richardson-extrapolated central differences.
+    ``metric`` maps a point to the (dim x dim) matrix; ``partials`` maps a
+    point to the (dim, dim, dim) array of analytic coordinate derivatives
+    with ``partials(x)[k] = d g / d x_k``.
     """
 
     coords: tuple
     metric: Callable[[np.ndarray], np.ndarray]
-    partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    partials: Callable[[np.ndarray], np.ndarray]
     domain_guard: Optional[Callable[[np.ndarray], None]] = None
 
     @property
@@ -81,27 +83,21 @@ def _numeric_partials(func, x: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def _metric_partials(fld: MetricField, x: np.ndarray, step: float) -> np.ndarray:
-    if fld.partials is not None:
-        return np.asarray(fld.partials(x), dtype=float)
-    return _numeric_partials(fld.metric, x, step)
-
-
-def christoffel(fld: MetricField, point, step: float = 1e-3) -> np.ndarray:
-    """Christoffel symbols Gamma[i, j, k] of the Levi-Civita connection."""
+def christoffel(fld: MetricField, point) -> np.ndarray:
+    """Christoffel symbols Gamma[i, j, k] from the field's analytic partials."""
     x = np.asarray(point, dtype=float)
     fld.check_domain(x)
     g = np.asarray(fld.metric(x), dtype=float)
     if np.linalg.cond(g) > _COND_LIMIT:
         raise ChartDomainError("metric is singular at this point")
     ginv = np.linalg.inv(g)
-    dg = _metric_partials(fld, x, step)
+    dg = np.asarray(fld.partials(x), dtype=float)
     # T[l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
     t = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
     return 0.5 * np.einsum("il,ljk->ijk", ginv, t)
 
 
-def scalar_curvature_pipeline(fld: MetricField, point, step: float = 1e-3) -> CurvatureReport:
+def scalar_curvature_pipeline(fld: MetricField, point) -> CurvatureReport:
     """Scalar curvature by explicit tensor algebra.
 
     The Riemann tensor is assembled from the Christoffel symbols and their
@@ -109,23 +105,21 @@ def scalar_curvature_pipeline(fld: MetricField, point, step: float = 1e-3) -> Cu
     evaluator), then contracted twice. The recorded ``antisymmetry``
     residual is the largest violation of R^i_j(kl) = -R^i_j(lk).
     """
-    if not 0.0 < step < math.inf:
-        raise ValidationError("step must be positive and finite")
     x = np.asarray(point, dtype=float)
     fld.check_domain(x)
     g = np.asarray(fld.metric(x), dtype=float)
     if np.linalg.cond(g) > _COND_LIMIT:
         raise ChartDomainError("metric is singular at this point")
     ginv = np.linalg.inv(g)
-    gamma = christoffel(fld, x, step)
+    gamma = christoffel(fld, x)
 
     dim = fld.dim
     dgamma = np.zeros((dim, dim, dim, dim))
     for k in range(dim):
         e = np.zeros(dim)
         e[k] = 1.0
-        h = step * max(1.0, abs(x[k]))
-        dgamma[k] = _richardson_diff(lambda t: christoffel(fld, x + t * e, step), h)
+        h = _RELATIVE_STEP * max(1.0, abs(x[k]))
+        dgamma[k] = _richardson_diff(lambda t: christoffel(fld, x + t * e), h)
 
     # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
     #           + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj

@@ -25,6 +25,8 @@ STS_COORDS = ("n1", "n2", "2r", "phi")
 # numeric_metric refuses device directions closer to chart degeneracy than this
 DEGENERACY_GUARD = 1e-3
 FIRST_DERIVATIVE_TOL = 1e-6
+# numeric_metric's stencil step, relative to max(1, |coordinate|)
+RELATIVE_STEP = 1e-3
 
 
 def chart_coords(point: FamilyPoint) -> np.ndarray:
@@ -183,7 +185,7 @@ def _interior_guard(point: FamilyPoint, h: np.ndarray):
             raise ChartDomainError("stencil leaves the squeeze domain r > 0")
 
 
-def numeric_metric(point: FamilyPoint, step: float = 1e-3) -> MetricMatrix:
+def numeric_metric(point: FamilyPoint) -> MetricMatrix:
     """Bures metric from 5-point differentiation of sqrt(fidelity).
 
     Along a ray xi + t*w the square-rooted fidelity is 1 - (t^2/2) g(w, w)
@@ -194,10 +196,8 @@ def numeric_metric(point: FamilyPoint, step: float = 1e-3) -> MetricMatrix:
     """
     if point.tag == TS:
         raise ChartDomainError("numeric metric is defined on the 4d charts")
-    if not 0.0 < step < math.inf:
-        raise ValidationError("step must be positive and finite")
     coords = chart_coords(point)
-    h = step * np.maximum(1.0, np.abs(coords))
+    h = RELATIVE_STEP * np.maximum(1.0, np.abs(coords))
     _interior_guard(point, h)
 
     if abs(fidelity_special(point, point) - 1.0) > 1e-12:
@@ -278,5 +278,7 @@ def ball_volume_expansion(n: int, eps: float, r_scalar: float) -> float:
         raise ValidationError("dimension must be a positive integer")
     if not 0.0 < eps < math.inf:
         raise ValidationError("radius must be positive and finite")
+    if not math.isfinite(r_scalar):
+        raise ValidationError("scalar curvature must be finite")
     unit = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     return unit * eps**n - unit / (n + 2.0) * r_scalar * eps ** (n + 2)

@@ -310,11 +310,11 @@ def closed_matches_general(rng, count, draw_pair=random_same_family_pair):
 # --- metric checks -------------------------------------------------------
 
 
-def metric_deviation(point: FamilyPoint, step: float = 1e-3):
+def metric_deviation(point: FamilyPoint):
     """Finite-difference Bures metric at ``point`` and its distance from the
     closed form: (metric, worst relative diagonal deviation, largest
     off-diagonal entry)."""
-    metric = geometry.numeric_metric(point, step=step)
+    metric = geometry.numeric_metric(point)
     h = geometry.qfi_closed(point).h
     closed = 0.25 * np.array([h[k] for k in metric.coords])
     diag = np.diag(metric.matrix)
@@ -600,18 +600,16 @@ def curvature_suite(seed: int):
     return results
 
 
-def oracle_suite(seed: int, truncation: int | None = None):
+def oracle_suite(seed: int):
     rng = np.random.default_rng(seed)
     results = []
-    d_mts = 25 if truncation is None else truncation
-    d_sts = 40 if truncation is None else truncation
-    mixing, overlap_mts = fock_agreement(rng, 10, MTS, d_mts)
+    mixing, overlap_mts = fock_agreement(rng, 10, MTS, 25)
     _check(results, "Fock oracle agreement (mode mixing)", mixing, 1e-6)
-    squeezing, overlap_sts = fock_agreement(rng, 10, STS, d_sts)
+    squeezing, overlap_sts = fock_agreement(rng, 10, STS, 40)
     _check(results, "Fock oracle agreement (squeezing)", squeezing, 1e-4)
     _check(results, "Fock overlap agreement", _worst((overlap_mts, overlap_sts)), 1e-6)
     _check(results, "commuting-case spectral fidelity", commuting_spectral(rng, 5), 1e-8)
-    cross = fock_cross_agreement(rng, 2, d_sts)
+    cross = fock_cross_agreement(rng, 2, 40)
     _check(results, "Fock oracle agreement (mixed x squeezed)", _worst(cross), 1e-6)
     return results
 

@@ -67,11 +67,6 @@ class TestMetricMatrix:
 
 
 class TestNumericMetric:
-    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
-    def test_rejects_bad_step(self, step):
-        with pytest.raises(ValidationError):
-            geometry.numeric_metric(FamilyPoint.mts(2.0, 1.0, 1.2, 0.0), step=step)
-
     def test_mts_against_closed_form(self):
         _, diagonal, off_diagonal = v.metric_deviation(
             FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 0.3))
@@ -189,6 +184,8 @@ class TestBallVolume:
         assert high < low < geometry.ball_volume_expansion(4, eps, 0.0)
 
     def test_rejects_bad_arguments(self):
-        for n, eps in ((0, 1.0), (math.nan, 1.0), (4, -1.0), (4, math.nan), (4, math.inf)):
+        for n, eps, r_scalar in ((0, 1.0, 0.0), (math.nan, 1.0, 0.0), (4, -1.0, 0.0),
+                                 (4, math.nan, 0.0), (4, math.inf, 0.0),
+                                 (4, 0.1, math.nan), (4, 0.1, math.inf)):
             with pytest.raises(ValidationError):
-                geometry.ball_volume_expansion(n, eps, 0.0)
+                geometry.ball_volume_expansion(n, eps, r_scalar)
