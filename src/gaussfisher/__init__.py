@@ -9,9 +9,9 @@ from .core import (FidelityBreakdown, PhysicalityReport, TwoModeGaussian,
                    distances, fidelity_one_mode, fidelity_two_mode,
                    symplectic_form)
 from .curvature import (CurvatureReport, MetricField, SADDLE_OCCUPANCY,
-                        christoffel, family_metric_field, laplace_beltrami,
-                        scalar_closed, scalar_curvature_pipeline,
-                        scalar_warped, section_curve)
+                        christoffel, family_metric_field, scalar_closed,
+                        scalar_curvature_pipeline, scalar_warped,
+                        section_curve)
 from .errors import (ChartDomainError, GaussFisherError,
                      NumericalConsistencyError, TruncationError,
                      ValidationError)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ChartDomainError, ValidationError
 from .geometry import FAMILY_METRICS, occupancy_qfi, occupancy_qfi_derivative
-from .states import MTS, STS
+from .states import MTS, STS, _check_occupancies
 
 # occupancy of the unique stationary point of the STS curvature surface
 SADDLE_OCCUPANCY = math.sqrt(1.15) - 0.5
@@ -69,18 +69,6 @@ def _richardson_diff(f: Callable[[float], np.ndarray], h: float) -> np.ndarray:
         return (np.asarray(f(step)) - np.asarray(f(-step))) / (2.0 * step)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
-def _numeric_partials(func, x: np.ndarray, step: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    sample = np.asarray(func(x))
-    out = np.zeros((x.size,) + sample.shape)
-    for k in range(x.size):
-        e = np.zeros(x.size)
-        e[k] = 1.0
-        h = step * max(1.0, abs(x[k]))
-        out[k] = _richardson_diff(lambda t: func(x + t * e), h)
-    return out
 
 
 def christoffel(fld: MetricField, point) -> np.ndarray:
@@ -137,8 +125,7 @@ def scalar_curvature_pipeline(fld: MetricField, point) -> CurvatureReport:
 
 def scalar_closed(family_tag: str, n1: float, n2: float) -> float:
     """Closed-form scalar curvature; depends only on the occupancies."""
-    if n1 < 0.0 or n2 < 0.0:
-        raise ValidationError("mean photon numbers must be >= 0")
+    _check_occupancies(n1, n2)
     # factored so that swapping n1 and n2 gives bit-identical results
     occ = (n1 * (n1 + 1.0)) * (n2 * (n2 + 1.0))
     if family_tag == MTS:
@@ -164,8 +151,8 @@ def section_curve(family_tag: str, kind: str, s: float) -> float:
     """
     if family_tag == MTS:
         if kind == "symmetric":
-            if s < 0.0:
-                raise ValidationError("symmetric section needs s >= 0")
+            if not 0.0 <= s < math.inf:
+                raise ValidationError("symmetric section needs finite s >= 0")
             return math.inf if s == 0.0 else 9.0 / (s * (s + 1.0)) - 12.0
         if kind == "perpendicular":
             if not 0.0 <= s <= 1.0:
@@ -173,13 +160,13 @@ def section_curve(family_tag: str, kind: str, s: float) -> float:
             alpha = s * (1.0 - s)
             return -4.0 * (12.0 * alpha**2 + 17.0 * alpha - 5.0) / (2.0 * alpha + 1.0) ** 2
         if kind == "edge":
-            if s < 0.0:
-                raise ValidationError("edge section needs s >= 0")
+            if not 0.0 <= s < math.inf:
+                raise ValidationError("edge section needs finite s >= 0")
             return math.inf if s == 0.0 else 2.0 + 18.0 / s
     elif family_tag == STS:
         if kind == "symmetric":
-            if s < 0.0:
-                raise ValidationError("symmetric section needs s >= 0")
+            if not 0.0 <= s < math.inf:
+                raise ValidationError("symmetric section needs finite s >= 0")
             beta = s * (s + 1.0)
             return -4.0 * (12.0 * beta**2 + 7.0 * beta + 4.0) / (2.0 * beta + 1.0) ** 2
         if kind == "perpendicular":
@@ -192,8 +179,8 @@ def section_curve(family_tag: str, kind: str, s: float) -> float:
             const = 4.0 - 14.0 * ns * (ns + 1.0)
             return -4.0 * (12.0 * w**2 + 21.0 * w + const) / (2.0 * w + 1.0) ** 2
         if kind == "edge":
-            if s < 0.0:
-                raise ValidationError("edge section needs s >= 0")
+            if not 0.0 <= s < math.inf:
+                raise ValidationError("edge section needs finite s >= 0")
             return 2.0 - 18.0 / (s + 1.0)
     else:
         raise ValidationError(f"no section curves for family {family_tag!r}")
@@ -208,8 +195,7 @@ def scalar_warped(family_tag: str, n1: float, n2: float) -> float:
     the device metric component u^2/D in the occupancies; all derivatives
     are analytic rational functions.
     """
-    if n1 < 0.0 or n2 < 0.0:
-        raise ValidationError("mean photon numbers must be >= 0")
+    _check_occupancies(n1, n2)
     fam = FAMILY_METRICS.get(family_tag)
     if fam is None:
         raise ValidationError(f"no warped route for family {family_tag!r}")
@@ -229,41 +215,6 @@ def scalar_warped(family_tag: str, n1: float, n2: float) -> float:
         - 4.0 * (2.0 * n1 + 1.0) * l1
         - 4.0 * (2.0 * n2 + 1.0) * l2
     )
-
-
-def laplace_beltrami(fld: MetricField, func, point, step: float = 1e-3) -> float:
-    """Divergence of the gradient of a scalar function on the manifold.
-
-    (1/sqrt(det g)) d_j [ sqrt(det g) g^jk d_k v ], with both derivative
-    layers taken by Richardson central differences.
-    """
-    x = np.asarray(point, dtype=float)
-    fld.check_domain(x)
-    dim = fld.dim
-
-    def flux(y: np.ndarray) -> np.ndarray:
-        g = np.asarray(fld.metric(y), dtype=float)
-        if np.linalg.cond(g) > _COND_LIMIT:
-            raise ChartDomainError("metric is singular at this point")
-        root = math.sqrt(np.linalg.det(g))
-        grad = np.array([
-            float(_richardson_diff(
-                lambda t, k=k: func(y + t * np.eye(dim)[k]),
-                step * max(1.0, abs(y[k])),
-            ))
-            for k in range(dim)
-        ])
-        return root * np.linalg.solve(g, grad)
-
-    g0 = np.asarray(fld.metric(x), dtype=float)
-    root0 = math.sqrt(np.linalg.det(g0))
-    divergence = 0.0
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        h = step * max(1.0, abs(x[j]))
-        divergence += float(_richardson_diff(lambda t: flux(x + t * e)[j], h))
-    return divergence / root0
 
 
 # --- metric fields -------------------------------------------------------

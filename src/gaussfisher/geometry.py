@@ -29,37 +29,6 @@ FIRST_DERIVATIVE_TOL = 1e-6
 RELATIVE_STEP = 1e-3
 
 
-def chart_coords(point: FamilyPoint) -> np.ndarray:
-    """Natural chart coordinates of a family point (STS uses 2r, not r)."""
-    p = point.params
-    if point.tag == MTS:
-        return np.array([p.n1, p.n2, p.theta, p.phi])
-    if point.tag == STS:
-        return np.array([p.n1, p.n2, 2.0 * p.r, p.phi])
-    return np.array([p.n1, p.n2])
-
-
-def point_from_chart(tag: str, coords) -> FamilyPoint:
-    """Inverse of :func:`chart_coords`; phi is wrapped into (-pi, pi]."""
-    coords = np.asarray(coords, dtype=float)
-    if tag == TS:
-        return FamilyPoint.ts(coords[0], coords[1])
-    phi = math.remainder(coords[3], 2.0 * math.pi)
-    if phi <= -math.pi:
-        phi += 2.0 * math.pi
-    if tag == MTS:
-        return FamilyPoint.mts(coords[0], coords[1], coords[2], phi)
-    return FamilyPoint.sts(coords[0], coords[1], coords[2] / 2.0, phi)
-
-
-def coord_names(tag: str):
-    if tag == MTS:
-        return MTS_COORDS
-    if tag == STS:
-        return STS_COORDS
-    return ("n1", "n2")
-
-
 @dataclass(frozen=True)
 class FamilyMetric:
     """One family's QFI diagonal diag(H_occ(n1), H_occ(n2), H_dev, H_dev F(x)^2).
@@ -104,6 +73,36 @@ FAMILY_METRICS = {
     STS: FamilyMetric(STS_COORDS, 1.0, 1.0, math.sinh, -2.0, (0.0, math.inf),
                       lambda p: 2.0 * p.r),
 }
+
+
+def _chart_family(tag: str) -> FamilyMetric:
+    fam = FAMILY_METRICS.get(tag)
+    if fam is None:
+        raise ValidationError(f"no four-parameter chart for family {tag!r}")
+    return fam
+
+
+def coord_names(tag: str) -> tuple:
+    """Natural chart coordinate names of a four-parameter family."""
+    return _chart_family(tag).coords
+
+
+def chart_coords(point: FamilyPoint) -> np.ndarray:
+    """Natural chart coordinates of a family point (STS uses 2r, not r)."""
+    p = point.params
+    return np.array([p.n1, p.n2, _chart_family(point.tag).chart_device(p), p.phi])
+
+
+def point_from_chart(tag: str, coords) -> FamilyPoint:
+    """Inverse of :func:`chart_coords`; phi is wrapped into (-pi, pi]."""
+    _chart_family(tag)
+    coords = np.asarray(coords, dtype=float)
+    phi = math.remainder(coords[3], 2.0 * math.pi)
+    if phi <= -math.pi:
+        phi += 2.0 * math.pi
+    if tag == MTS:
+        return FamilyPoint.mts(coords[0], coords[1], coords[2], phi)
+    return FamilyPoint.sts(coords[0], coords[1], coords[2] / 2.0, phi)
 
 
 def occupancy_qfi(n: float) -> float:

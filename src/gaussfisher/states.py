@@ -172,6 +172,5 @@ def family_cov(point: FamilyPoint) -> np.ndarray:
 
 def separability_threshold(n1: float, n2: float) -> float:
     """Squeeze value below which an STS with these occupancies is separable."""
-    if n1 < 0.0 or n2 < 0.0:
-        raise ValidationError("mean photon numbers must be >= 0")
+    _check_occupancies(n1, n2)
     return math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))

@@ -11,6 +11,23 @@ from gaussfisher.errors import ChartDomainError, ValidationError
 from gaussfisher.states import FamilyPoint, separability_threshold
 
 
+class TestChart:
+    @pytest.mark.parametrize("point", [FamilyPoint.mts(0.9, 0.35, 1.1, 0.4),
+                                       FamilyPoint.sts(0.6, 0.2, 0.45, -0.7)])
+    def test_round_trip(self, point):
+        coords = geometry.chart_coords(point)
+        assert geometry.point_from_chart(point.tag, coords) == point
+        assert len(geometry.coord_names(point.tag)) == coords.size
+
+    def test_thermal_tag_rejected(self):
+        with pytest.raises(ValidationError):
+            geometry.coord_names("TS")
+        with pytest.raises(ValidationError):
+            geometry.chart_coords(FamilyPoint.ts(1.0, 0.5))
+        with pytest.raises(ValidationError):
+            geometry.point_from_chart("TS", [1.0, 0.5])
+
+
 class TestQfiClosed:
     def test_mts_anchor(self):
         h = geometry.qfi_closed(FamilyPoint.mts(2.0, 1.0, math.pi / 2.0, 0.3)).h

@@ -158,6 +158,11 @@ class TestSeparabilityThreshold:
         assert states.separability_threshold(1.0, 1.0) == pytest.approx(
             math.asinh(math.sqrt(1.0 / 3.0)), rel=1e-14)
 
+    @pytest.mark.parametrize("n1,n2", [(math.inf, 1.0), (1.0, math.nan), (-0.1, 1.0)])
+    def test_rejects_bad_occupancies(self, n1, n2):
+        with pytest.raises(ValidationError):
+            states.separability_threshold(n1, n2)
+
     @given(st.floats(min_value=0.0, max_value=5.0),
            st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=60, deadline=None)
