@@ -16,6 +16,18 @@ its fidelity and overlap split into the two parity classes, of
 ceil(D/2) and floor(D/2) indices, and take one singular value
 decomposition each.
 
+All couplings of one generator share one phase, and n1 rises by one per
+step within every sector, so each device unitary is U = P O P^dag with a
+real orthogonal O (the expm of the same blocks with a real coupling) and
+P = diag(exp(-i psi n1)); psi is phi for the mixer and -phi for the
+squeezer. Diagonal factors commute with the thermal spectra and drop out
+of every trace norm and |.|^2 the oracle takes. For a mode-mixed x
+squeezed pair the relative phase exp(-i (psi_b - psi_a) n1) splits into a
+factor constant on each mixer sector (in n1 + n2) and one constant on each
+squeezer sector (in n1 - n2); each commutes past its own device's O and
+drops as well, so that pair's products and singular value decompositions
+are real.
+
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
 operator would climb past d - 1 photons, so it leaks probability through
@@ -31,7 +43,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import TruncationError, ValidationError
-from .states import MTS, STS, FamilyPoint, MtsParams, StsParams
+from .states import MTS, STS, FamilyPoint, MtsParams, StsParams, _check_occupancies
 
 DEFAULT_MAX_DEFICIT = 1e-6
 DEFAULT_MAX_DEFECT = 1e-8
@@ -45,12 +57,14 @@ PARITY = "(n1+n2)%2"  # conserved by both
 class FockDensity:
     """Truncated density matrix U diag(spectrum) U^dag, kept spectral.
 
-    U is the direct sum of the unitary ``blocks`` over
-    ``sectors(d, conserved)``, or the identity when ``blocks`` is None (a
+    U = P O P^dag, where O is the direct sum of the real orthogonal
+    ``blocks`` over ``sectors(d, conserved)`` and P = diag(exp(-i phase n1))
+    over the flat indices; U is the identity when ``blocks`` is None (a
     thermal state). No dense D x D matrix is stored: fidelities and
     overlaps are computed from the spectrum and the blocks, and a
-    mode-mixed x squeezed pair forms one block per parity class of
-    n1 + n2, of at most ceil(D/2) indices.
+    mode-mixed x squeezed pair forms one real block per parity class of
+    n1 + n2, of at most ceil(D/2) indices, since both device phases drop
+    out of its products.
     """
 
     d: int
@@ -58,6 +72,7 @@ class FockDensity:
     trace_deficit: float
     conserved: str | None = None
     blocks: tuple[np.ndarray, ...] | None = None
+    phase: float = 0.0
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +113,7 @@ def thermal_weights(n: float, d: int) -> np.ndarray:
 
 
 def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
-    if n1 < 0.0 or n2 < 0.0:
-        raise ValidationError("mean photon numbers must be >= 0")
+    _check_occupancies(n1, n2)
     if d < 2:
         raise ValidationError("per-mode truncation must be at least 2")
     w = np.kron(thermal_weights(n1, d), thermal_weights(n2, d))
@@ -124,47 +138,59 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(dim)).max())
 
 
-def _sector_unitaries(d: int, conserved: str, coupling: complex):
-    """expm of each sector block of a truncated two-mode generator.
+def _sector_unitaries(d: int, conserved: str, coupling: float):
+    """Real orthogonal expm of each sector block of a truncated generator.
 
     Within a sector, ordered by ascending n1, the generator links only
-    neighbouring states, so each block is tridiagonal and anti-Hermitian:
-    superdiagonal ``coupling * sqrt(m1 m2)``, subdiagonal minus its
-    conjugate. sqrt(m1 m2) is the ladder amplitude between neighbours j and
-    j + 1. In a TOTAL sector j + 1 holds one photon more in mode 1 and one
-    fewer in mode 2, so m1 is n1 of j + 1 and m2 is n2 of j; in a
-    DIFFERENCE sector j + 1 holds one more in each mode, so both are read
-    off j + 1.
+    neighbouring states, so each block is tridiagonal and antisymmetric:
+    superdiagonal ``coupling * sqrt(m1 m2)``, subdiagonal its negative.
+    sqrt(m1 m2) is the ladder amplitude between neighbours j and j + 1. In
+    a TOTAL sector j + 1 holds one photon more in mode 1 and one fewer in
+    mode 2, so m1 is n1 of j + 1 and m2 is n2 of j; in a DIFFERENCE sector
+    j + 1 holds one more in each mode, so both are read off j + 1. The
+    exponential is taken in complex arithmetic, whose imaginary part is
+    exactly zero here: scipy's real-dtype expm is about ten times less
+    accurate on these blocks.
     """
     blocks = []
     for idx in sectors(d, conserved):
         n1, n2 = np.divmod(idx, d)
         ladder = n2[:-1] if conserved == TOTAL else n2[1:]
         upper = coupling * np.sqrt(n1[1:] * ladder)
-        blocks.append(expm(np.diag(upper, 1) - np.diag(upper.conj(), -1)))
+        generator = np.diag(upper, 1) - np.diag(upper, -1)
+        blocks.append(expm(generator.astype(complex)).real)
     return tuple(blocks)
 
 
 def _assemble(pieces, dim: int) -> np.ndarray:
     """Dense dim x dim matrix of a direct sum of (index set, block) pieces."""
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim))
     for idx, block in pieces:
         out[np.ix_(idx, idx)] = block
     return out
 
 
+def _gauged(d: int, conserved: str, blocks, psi: float) -> np.ndarray:
+    """Dense device unitary P O P^dag, P = diag(exp(-i psi n1))."""
+    p = np.exp(-1j * psi * (np.arange(d * d) // d))
+    o = _assemble(zip(sectors(d, conserved), blocks), d * d)
+    return p[:, None] * o * p.conj()[None, :]
+
+
 def _bs_blocks(theta: float, phi: float, d: int):
     MtsParams(0.0, 0.0, theta, phi)  # range validation
-    # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2)
-    return _sector_unitaries(d, TOTAL, 0.5 * theta * np.exp(1j * phi))
+    # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2);
+    # its phase is gauged out as psi = phi
+    return _sector_unitaries(d, TOTAL, 0.5 * theta)
 
 
 def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
     StsParams(0.0, 0.0, r, phi)  # range validation
-    # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2)
-    blocks = _sector_unitaries(d, DIFFERENCE, -r * np.exp(-1j * phi))
-    # u is block-diagonal, so its defect is the largest block defect
-    defect = max(unitarity_defect(u) for u in blocks)
+    # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2);
+    # its phase is gauged out as psi = -phi
+    blocks = _sector_unitaries(d, DIFFERENCE, -r)
+    # O is block-diagonal, so its defect is the largest block defect
+    defect = max(unitarity_defect(o) for o in blocks)
     if defect > max_defect:
         raise TruncationError(
             f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
@@ -174,7 +200,7 @@ def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
 
 def bs_unitary(theta: float, phi: float, d: int) -> np.ndarray:
     """Mode-mixing unitary on the truncated two-mode Fock space."""
-    return _assemble(zip(sectors(d, TOTAL), _bs_blocks(theta, phi, d)), d * d)
+    return _gauged(d, TOTAL, _bs_blocks(theta, phi, d), phi)
 
 
 def sq_unitary(r: float, phi: float, d: int,
@@ -187,8 +213,7 @@ def sq_unitary(r: float, phi: float, d: int,
     and the matrix only represents the true operator faithfully on states
     far from the truncation boundary.
     """
-    return _assemble(zip(sectors(d, DIFFERENCE), _sq_blocks(r, phi, d, max_defect)),
-                     d * d)
+    return _gauged(d, DIFFERENCE, _sq_blocks(r, phi, d, max_defect), -phi)
 
 
 def family_dm(point: FamilyPoint, d: int,
@@ -199,60 +224,70 @@ def family_dm(point: FamilyPoint, d: int,
         return thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
     w, thermal_deficit = _thermal_spectrum(p.n1, p.n2, d, max_deficit)
     if point.tag == MTS:
-        conserved, blocks = TOTAL, _bs_blocks(p.theta, p.phi, d)
+        conserved, blocks, psi = TOTAL, _bs_blocks(p.theta, p.phi, d), p.phi
     else:
         conserved, blocks = DIFFERENCE, _sq_blocks(p.r, p.phi, d, DEFAULT_MAX_DEFECT)
+        psi = -p.phi
     # conjugation preserves the trace; the honest deficit is the thermal one.
-    # Tr(U W U^dag) = sum over blocks of the column norms |U_B|^2 weighted by w
-    trace = sum((np.abs(u) ** 2).sum(axis=0) @ w[idx]
-                for idx, u in zip(sectors(d, conserved), blocks))
+    # Tr(U W U^dag) = sum over blocks of the column norms |O_B|^2 weighted by w
+    trace = sum((o ** 2).sum(axis=0) @ w[idx]
+                for idx, o in zip(sectors(d, conserved), blocks))
     deficit = max(1.0 - float(trace), thermal_deficit)
     return FockDensity(d=d, spectrum=w, trace_deficit=deficit,
-                       conserved=conserved, blocks=blocks)
+                       conserved=conserved, blocks=blocks, phase=psi)
 
 
 def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
-    """Index set and Ua^dag Ub block of each piece of a pair's product.
+    """Index set and block of Ua^dag Ub, up to outer diagonal phases, of
+    each piece of a pair's product.
 
-    States that share a sectoring give one pair per sector; a state without
+    Ua^dag Ub = Pa (Oa^T Pa^dag Pb Ob) Pb^dag, and the outer Pa, Pb^dag
+    commute with the spectra, so only the middle product is formed. States
+    that share a sectoring give one piece per sector; a state without
     blocks is diagonal in the Fock basis and fits either sectoring. A
     mode-mixed x squeezed pair shares neither, but each of its sectors lies
-    inside one parity class of n1 + n2, so it gives one pair per parity
-    class, assembled from the sector blocks in that class. The entries
+    inside one parity class of n1 + n2, so it gives one real piece Oa^T Ob
+    per parity class, assembled from the sector blocks in that class (the
+    relative phase commutes outward, see the module notes). The entries
     between the classes are exactly zero and are never formed.
     """
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
+    d = rho_a.d
     kinds = {rho_a.conserved, rho_b.conserved} - {None}
     if len(kinds) > 1:
-        d = rho_a.d
         classes = sectors(d, PARITY)
         position = np.empty(d * d, dtype=int)  # of each flat index in its class
         for idx in classes:
             position[idx] = np.arange(len(idx))
         for parity, idx in enumerate(classes):
-            # Ub restricted to the class, then Ua^dag applied sector by sector
+            # Ob restricted to the class, then Oa^T applied sector by sector
             inner = _assemble(_in_class(rho_b, parity, position), len(idx))
-            for rows, ua in _in_class(rho_a, parity, position):
-                inner[rows] = ua.conj().T @ inner[rows]
+            for rows, oa in _in_class(rho_a, parity, position):
+                inner[rows] = oa.T @ inner[rows]
             yield idx, inner
         return
     conserved = kinds.pop() if kinds else TOTAL
-    for idx, ua, ub in zip(sectors(rho_a.d, conserved),
-                           _unitary_blocks(rho_a, conserved),
-                           _unitary_blocks(rho_b, conserved)):
-        yield idx, ua.conj().T @ ub
+    # a state without blocks is diagonal, so the other's phase drops as well
+    both = rho_a.blocks is not None and rho_b.blocks is not None
+    shift = rho_b.phase - rho_a.phase if both else 0.0
+    for idx, oa, ob in zip(sectors(d, conserved),
+                           _orthogonal_blocks(rho_a, conserved),
+                           _orthogonal_blocks(rho_b, conserved)):
+        if shift:
+            ob = np.exp(-1j * shift * (idx // d))[:, None] * ob
+        yield idx, oa.T @ ob
 
 
 def _in_class(rho: FockDensity, parity: int, position: np.ndarray):
-    """(positions within parity class ``parity``, unitary block) of each
+    """(positions within parity class ``parity``, orthogonal block) of each
     sector of ``rho`` that lies in that class."""
-    for idx, u in zip(sectors(rho.d, rho.conserved), rho.blocks):
+    for idx, o in zip(sectors(rho.d, rho.conserved), rho.blocks):
         if sum(divmod(int(idx[0]), rho.d)) % 2 == parity:
-            yield position[idx], u
+            yield position[idx], o
 
 
-def _unitary_blocks(rho: FockDensity, conserved: str):
+def _orthogonal_blocks(rho: FockDensity, conserved: str):
     if rho.blocks is not None:
         return rho.blocks
     return [np.eye(len(idx)) for idx in sectors(rho.d, conserved)]
@@ -268,9 +303,10 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     outer unitaries,
     || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
       = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
-    and the middle product splits into the blocks of ``_inner_blocks``: one
-    per photon-number sector when the states share a sectoring, one per
-    parity class of n1 + n2 for a mode-mixed x squeezed pair.
+    and under the outer diagonal phases that ``_inner_blocks`` strips from
+    the middle product. That product splits into its pieces: one per
+    photon-number sector when the states share a sectoring, one real piece
+    per parity class of n1 + n2 for a mode-mixed x squeezed pair.
     """
     for rho in (rho_a, rho_b):
         if rho.trace_deficit > DEFAULT_MAX_DEFICIT:
@@ -301,8 +337,8 @@ def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,
     The affinity sum factorizes over modes; the result increases
     monotonically with ``n_terms`` toward the closed-form value.
     """
-    if min(n1a, n2a, n1b, n2b) < 0.0:
-        raise ValidationError("mean photon numbers must be >= 0")
+    _check_occupancies(n1a, n2a)
+    _check_occupancies(n1b, n2b)
     if n_terms < 1:
         raise ValidationError("n_terms must be at least 1")
     s1 = np.sqrt(thermal_weights(n1a, n_terms) * thermal_weights(n1b, n_terms)).sum()

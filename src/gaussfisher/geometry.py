@@ -17,7 +17,7 @@ import numpy as np
 
 from .closed_form import fidelity_special
 from .errors import ChartDomainError, NumericalConsistencyError, ValidationError
-from .states import MTS, STS, TS, FamilyPoint, separability_threshold
+from .states import MTS, STS, TS, FamilyPoint, _check_occupancies, separability_threshold
 
 MTS_COORDS = ("n1", "n2", "theta", "phi")
 STS_COORDS = ("n1", "n2", "2r", "phi")
@@ -151,7 +151,8 @@ def qfi_closed(point: FamilyPoint) -> QfiDiagonal:
 
 def ts_metric(n1: float, n2: float) -> MetricMatrix:
     """Bures metric on the two-dimensional thermal manifold."""
-    if n1 <= 0.0 or n2 <= 0.0:
+    _check_occupancies(n1, n2)
+    if n1 == 0.0 or n2 == 0.0:
         raise ChartDomainError("thermal metric diverges at zero occupancy")
     g = 0.25 * np.diag([occupancy_qfi(n1), occupancy_qfi(n2)])
     return MetricMatrix(g, ("n1", "n2"))
@@ -162,6 +163,7 @@ def warping_function(tag: str, n1: float, n2: float) -> float:
     fam = FAMILY_METRICS.get(tag)
     if fam is None:
         raise ValidationError(f"no warping function for family {tag!r}")
+    _check_occupancies(n1, n2)
     if fam.denominator(n1, n2) == 0.0:
         raise ChartDomainError("warping undefined at the vacuum point")
     return 0.5 * math.sqrt(fam.device(n1, n2))
@@ -246,6 +248,8 @@ def jeffreys_prior(point: FamilyPoint) -> float:
 
 def jeffreys_prior_sts_closed(n1: float, n2: float, r: float) -> float:
     """STS Jeffreys prior in the two-variable form 4 sinh(2r)/sinh(4 r_s)."""
+    if not 0.0 <= r < math.inf:
+        raise ValidationError("squeeze parameter must be finite and >= 0")
     r_s = separability_threshold(n1, n2)
     if r_s == 0.0:
         raise ChartDomainError("Jeffreys prior diverges at zero threshold")

@@ -63,6 +63,11 @@ class TestThermalDm:
         with pytest.raises(TruncationError):
             fock.thermal_dm(5.0, 5.0, 3)
 
+    @pytest.mark.parametrize("n1, n2", [(math.nan, 1.0), (1.0, math.inf), (-0.1, 0.2)])
+    def test_rejects_bad_occupancies(self, n1, n2):
+        with pytest.raises(ValidationError):
+            fock.thermal_dm(n1, n2, 6)
+
 
 def dense_generator(device, x, phi, d):
     """Truncated device generator built densely from kron mode operators;
@@ -217,19 +222,19 @@ class TestUhlmannFidelity:
         assert value == pytest.approx(cf.fidelity_special(a, b), abs=1e-6)
 
     @pytest.fixture
-    def svd_sizes(self, monkeypatch):
-        """Sizes of the matrices whose trace norm the oracle takes."""
-        sizes = []
+    def svd_inputs(self, monkeypatch):
+        """(size, dtype) of each matrix whose trace norm the oracle takes."""
+        inputs = []
         trace_norm = fock._trace_norm
 
         def recording(m):
-            sizes.append(max(m.shape))
+            inputs.append((max(m.shape), m.dtype))
             return trace_norm(m)
 
         monkeypatch.setattr(fock, "_trace_norm", recording)
-        return sizes
+        return inputs
 
-    def test_cross_family_takes_parity_path(self, svd_sizes):
+    def test_cross_family_takes_parity_path(self, svd_inputs):
         d = 16
         a = FamilyPoint.mts(0.3, 0.15, 1.2, 0.4)
         b = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
@@ -237,21 +242,24 @@ class TestUhlmannFidelity:
         for pair in ((a, b), (b, a)):
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-10)
-        assert svd_sizes == [(d * d + 1) // 2, d * d // 2] * 2
+        # both device phases gauge out, so the two SVDs per pair are real
+        assert svd_inputs == [((d * d + 1) // 2, np.float64), (d * d // 2, np.float64)] * 2
 
     @pytest.mark.parametrize("device", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
                                         FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
-    def test_thermal_pair_takes_sector_path(self, device, svd_sizes):
+    def test_thermal_pair_takes_sector_path(self, device, svd_inputs):
         d = 16
         thermal = FamilyPoint.ts(0.25, 0.35)
         general = core.fidelity_two_mode(thermal.to_state(), device.to_state())
         for pair in ((thermal, device), (device, thermal)):
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-9)
-        assert len(svd_sizes) == 2 * (2 * d - 1) and max(svd_sizes) == d
+        sizes = [size for size, _ in svd_inputs]
+        assert len(sizes) == 2 * (2 * d - 1) and max(sizes) == d
+        assert {dtype for _, dtype in svd_inputs} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("d", [12, 13])
-    def test_cross_family_matches_one_dense_svd(self, d, svd_sizes):
+    def test_cross_family_matches_one_dense_svd(self, d, svd_inputs):
         # at d = 13 the parity classes hold 85 and 84 indices
         a = FamilyPoint.mts(0.3, 0.15, 1.2, 0.4)
         b = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
@@ -264,7 +272,7 @@ class TestUhlmannFidelity:
             overlap = rho_a.spectrum @ np.abs(inner) ** 2 @ rho_b.spectrum
             assert abs(fock.uhlmann_fidelity(rho_a, rho_b) - fidelity) <= 1e-13
             assert abs(fock.overlap_fock(rho_a, rho_b) - overlap) <= 1e-13
-        assert max(svd_sizes) == (d * d + 1) // 2
+        assert max(size for size, _ in svd_inputs) == (d * d + 1) // 2
 
     def test_cross_family_catalogue_check(self):
         fidelity, overlap = verification.fock_cross_agreement(np.random.default_rng(5), 2, 20)
@@ -274,6 +282,48 @@ class TestUhlmannFidelity:
         with pytest.raises(ValidationError):
             fock.uhlmann_fidelity(fock.thermal_dm(0.1, 0.1, 10),
                                   fock.thermal_dm(0.1, 0.1, 12))
+
+
+def with_phase(point, phi):
+    """The family point with its device phase replaced by ``phi``."""
+    p = point.params
+    if point.tag == MTS:
+        return FamilyPoint.mts(p.n1, p.n2, p.theta, phi)
+    return FamilyPoint.sts(p.n1, p.n2, p.r, phi)
+
+
+class TestPhaseGauge:
+    """The premise of the real cross-family route: the local phase rotation
+    exp(i(x n1 + y n2)) leaves thermal states unchanged and can zero both
+    device phases, so a mode-mixed x squeezed fidelity depends on neither."""
+
+    def test_covariance_route_ignores_device_phases(self, rng):
+        for _ in range(10):
+            a, b = verification.random_mts(rng), verification.random_sts(rng)
+            base = core.fidelity_two_mode(a.to_state(), b.to_state()).fidelity
+            for phi_a, phi_b in rng.uniform(-math.pi, math.pi, (3, 2)):
+                a2, b2 = with_phase(a, phi_a), with_phase(b, phi_b)
+                value = core.fidelity_two_mode(a2.to_state(), b2.to_state()).fidelity
+                assert value == pytest.approx(base, rel=1e-12)
+
+    def test_dense_oracle_ignores_device_phases(self, rng):
+        # the reference multiplies the complex kron-built unitaries, so it
+        # does not lean on the gauge the oracle uses
+        d = 12
+        for _ in range(3):
+            a = verification.random_mts(rng, occ_high=0.3)
+            b = verification.random_sts(rng, occ_high=0.2, r_high=0.3)
+            base = fock.uhlmann_fidelity(fock.family_dm(a, d), fock.family_dm(b, d))
+            for phi_a, phi_b in rng.uniform(-math.pi, math.pi, (2, 2)):
+                rho_a = fock.family_dm(with_phase(a, phi_a), d)
+                rho_b = fock.family_dm(with_phase(b, phi_b), d)
+                inner = (expm(dense_generator("bs", a.params.theta, phi_a, d)).conj().T
+                         @ expm(dense_generator("sq", b.params.r, phi_b, d)))
+                sqrt_a, sqrt_b = np.sqrt(rho_a.spectrum), np.sqrt(rho_b.spectrum)
+                dense = np.linalg.svd(sqrt_a[:, None] * inner * sqrt_b[None, :],
+                                      compute_uv=False).sum() ** 2
+                assert dense == pytest.approx(base, rel=1e-12)
+                assert fock.uhlmann_fidelity(rho_a, rho_b) == pytest.approx(base, rel=1e-12)
 
 
 class TestOverlap:
@@ -310,6 +360,12 @@ class TestSpectralRecord:
 
     @pytest.mark.parametrize("point", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
                                        FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
+    def test_blocks_are_real(self, point):
+        rho = fock.family_dm(point, 12)
+        assert all(o.dtype == np.float64 for o in rho.blocks)
+
+    @pytest.mark.parametrize("point", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
+                                       FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
     def test_trace_deficit_matches_dense_trace(self, point):
         d = 20
         dense_deficit = 1.0 - np.trace(dense_matrix(point, d)).real
@@ -332,6 +388,12 @@ class TestSpectralThermal:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(cf.fidelity_ts(0.7, 0.3, 0.4, 0.9),
                                            abs=1e-10)
+
+    @pytest.mark.parametrize("ns", [(math.nan, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, math.inf),
+                                    (0.2, -0.1, 0.3, 0.3)])
+    def test_rejects_bad_occupancies(self, ns):
+        with pytest.raises(ValidationError):
+            fock.spectral_fidelity_ts(*ns, 10)
 
     def test_matches_uhlmann_on_commuting_states(self):
         spectral = fock.spectral_fidelity_ts(0.7, 0.3, 0.4, 0.9, 30)

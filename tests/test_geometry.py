@@ -76,6 +76,11 @@ class TestTsMetric:
         with pytest.raises(ChartDomainError):
             geometry.ts_metric(0.0, 1.0)
 
+    @pytest.mark.parametrize("n1, n2", [(math.nan, 1.0), (1.0, math.inf), (-0.5, 1.0)])
+    def test_rejects_bad_occupancies(self, n1, n2):
+        with pytest.raises(ValidationError):
+            geometry.ts_metric(n1, n2)
+
 
 class TestMetricMatrix:
     def test_rejects_asymmetric(self):
@@ -139,6 +144,16 @@ class TestWarping:
             assert 0.25 * h["phi"] == pytest.approx(
                 f * f * math.sinh(2.0 * r) ** 2, abs=1e-12)
 
+    @pytest.mark.parametrize("tag", ["MTS", "STS"])
+    @pytest.mark.parametrize("n1, n2", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite(self, tag, n1, n2):
+        with pytest.raises(ValidationError):
+            geometry.warping_function(tag, n1, n2)
+
+    def test_mts_vacuum_undefined(self):
+        with pytest.raises(ChartDomainError):
+            geometry.warping_function("MTS", 0.0, 0.0)
+
 
 class TestJeffreysPrior:
     def test_sts_two_variable_form(self, rng):
@@ -155,6 +170,16 @@ class TestJeffreysPrior:
     def test_zero_occupancy_diverges(self):
         with pytest.raises(ChartDomainError):
             geometry.jeffreys_prior(FamilyPoint.sts(0.0, 1.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize("n1, n2, r", [(1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+                                           (1.0, 1.0, -0.1), (math.nan, 1.0, 0.5)])
+    def test_sts_closed_rejects_bad_arguments(self, n1, n2, r):
+        with pytest.raises(ValidationError):
+            geometry.jeffreys_prior_sts_closed(n1, n2, r)
+
+    def test_sts_closed_zero_threshold_diverges(self):
+        with pytest.raises(ChartDomainError):
+            geometry.jeffreys_prior_sts_closed(0.0, 1.0, 0.5)
 
 
 class TestCramerRao:
