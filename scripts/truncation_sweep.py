@@ -3,8 +3,11 @@
 
 Sweeps the per-mode truncation d and tabulates the deviation of the
 truncated-space Uhlmann fidelity from the closed-form value for one
-mode-mixed and one squeezed thermal pair, together with the thermal trace
-deficits. Useful for picking truncations outside the default regimes.
+mode-mixed and one squeezed thermal pair, together with the trace
+deficits. The states are built with ``max_deficit=1.0``, so every row
+reports a deviation, also where the truncation loses a visible part of the
+trace (d = 6 here). Useful for picking truncations outside the default
+regimes.
 """
 
 import argparse
@@ -24,12 +27,9 @@ def sweep(label, a, b, truncations):
         rho_a = fock.family_dm(a, d, max_deficit=1.0)
         rho_b = fock.family_dm(b, d, max_deficit=1.0)
         deficit = max(rho_a.trace_deficit, rho_b.trace_deficit)
-        try:
-            error = abs(fock.uhlmann_fidelity(rho_a, rho_b) - exact)
-            print(f"{d:>4} {deficit:>12.3e} {error:>14.3e} "
-                  f"{time.monotonic() - start:>8.2f}")
-        except fock.TruncationError as exc:
-            print(f"{d:>4} {deficit:>12.3e} {'-':>14} ({exc})")
+        error = abs(fock.uhlmann_fidelity(rho_a, rho_b) - exact)
+        print(f"{d:>4} {deficit:>12.3e} {error:>14.3e} "
+              f"{time.monotonic() - start:>8.2f}")
 
 
 def main() -> int:

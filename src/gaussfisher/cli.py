@@ -318,9 +318,7 @@ def cmd_surface(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValidationError("--seed must be a non-negative integer")
-    names = ["core", "appendix", "geometry"] if args.suite == "all" else [args.suite]
-    if args.suite == "all" and args.include_oracle:
-        names.append("oracle")
+    names = list(verification.SUITES) if args.suite == "all" else [args.suite]
     print(f"TOLERANCES {tolerances.describe()}")
     failures = 0
     for name in names:
@@ -328,8 +326,6 @@ def cmd_verify(args) -> int:
             status = "PASS" if result.passed else "FAIL"
             print(f"{status} [{name}] {result.name}: {result.detail}")
             failures += 0 if result.passed else 1
-    if args.suite == "all" and not args.include_oracle:
-        print("SKIP [oracle] gated behind --include-oracle (a few seconds of runtime)")
     print(f"verify: {'OK' if failures == 0 else f'{failures} failure(s)'}")
     return 0 if failures == 0 else 1
 
@@ -411,10 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("verify", help="run the seeded verification suites")
-    p.add_argument("suite", choices=["core", "appendix", "geometry", "oracle", "all"])
+    p.add_argument("suite", choices=[*verification.SUITES, "all"])
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--include-oracle", action="store_true",
-                   help="include the Fock oracle suite in 'all'")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="truncated-Fock fidelity cross-check")

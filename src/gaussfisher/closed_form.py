@@ -15,8 +15,9 @@ from .tolerances import current as current_tol
 
 def q_affinity(x: float, y: float) -> float:
     """sqrt((x+1)(y+1)) - sqrt(xy); >= 1 with equality iff x == y."""
-    if x < 0.0 or y < 0.0:
-        raise ValidationError("q_affinity arguments must be >= 0")
+    # written so that NaN fails too
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise ValidationError("q_affinity arguments must be finite and >= 0")
     return math.sqrt((x + 1.0) * (y + 1.0)) - math.sqrt(x * y)
 
 

@@ -35,10 +35,10 @@ def symplectic_form() -> np.ndarray:
     return out
 
 
-def validate_mean(mean) -> np.ndarray:
+def validate_mean(mean, *, size: int = 4) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
-    if mean.shape != (4,):
-        raise ValidationError(f"quadrature mean must have shape (4,), got {mean.shape}")
+    if mean.shape != (size,):
+        raise ValidationError(f"quadrature mean must have shape ({size},), got {mean.shape}")
     if not np.all(np.isfinite(mean)):
         raise ValidationError("quadrature mean has non-finite components")
     return mean
@@ -115,17 +115,18 @@ def _real_edge_det(m: np.ndarray, tol) -> float:
     """Real part of det(V + iJ/2), with residue checks.
 
     The determinant is real and non-negative for physical covariance
-    matrices; roundoff residues beyond tolerance raise.
+    matrices (the invariant lam >= 0); an imaginary or negative
+    edge-determinant residue beyond ``invariant * (1 + |Re det|)`` raises.
     """
     det = np.linalg.det(m)
     scale = 1.0 + abs(det.real)
-    if abs(det.imag) > tol.imag * scale:
+    if abs(det.imag) > tol.invariant * scale:
         raise NumericalConsistencyError(
             f"edge determinant has imaginary residue {det.imag:.3e}"
         )
     value = float(det.real)
     if value < 0.0:
-        if value < -tol.imag * scale:
+        if value < -tol.invariant * scale:
             raise NumericalConsistencyError(
                 f"edge determinant negative beyond tolerance ({value:.3e})"
             )
@@ -222,8 +223,8 @@ def fidelity_one_mode(mean_a, cov_a, mean_b, cov_b) -> float:
     tol = current_tol()
     cov_a = validate_cov(cov_a, size=2)
     cov_b = validate_cov(cov_b, size=2)
-    mean_a = np.asarray(mean_a, dtype=float).reshape(2)
-    mean_b = np.asarray(mean_b, dtype=float).reshape(2)
+    mean_a = validate_mean(mean_a, size=2)
+    mean_b = validate_mean(mean_b, size=2)
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for cov in (cov_a, cov_b):
         eigs = np.linalg.eigvalsh(cov + 0.5j * j2)
@@ -242,7 +243,8 @@ def fidelity_one_mode(mean_a, cov_a, mean_b, cov_b) -> float:
 def distances(fidelity: float) -> dict:
     """Bures distance and Bures angle derived from a fidelity value."""
     tol = current_tol()
-    if fidelity < 0.0 or fidelity > 1.0 + tol.branch:
+    # chained so that NaN fails too
+    if not 0.0 <= fidelity <= 1.0 + tol.branch:
         raise ValidationError(f"fidelity {fidelity!r} outside [0, 1]")
     f = min(float(fidelity), 1.0)
     root = np.sqrt(f)
@@ -263,8 +265,9 @@ def classical_fidelity(p, q) -> dict:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise ValidationError("probability vectors must be 1-d and equally long")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValidationError("probabilities must be non-negative")
+    # written so that NaN fails too; inf fails the normalization
+    if not (np.all(p >= 0.0) and np.all(q >= 0.0)):
+        raise ValidationError("probabilities must be non-negative numbers")
     for name, vec in (("p", p), ("q", q)):
         if abs(vec.sum() - 1.0) > tol.prob_norm:
             raise ValidationError(f"{name} not normalized (sum {vec.sum()!r})")

@@ -94,12 +94,9 @@ def scalar_curvature_pipeline(fld: MetricField, point) -> CurvatureReport:
     residual is the largest violation of R^i_j(kl) = -R^i_j(lk).
     """
     x = np.asarray(point, dtype=float)
-    fld.check_domain(x)
-    g = np.asarray(fld.metric(x), dtype=float)
-    if np.linalg.cond(g) > _COND_LIMIT:
-        raise ChartDomainError("metric is singular at this point")
-    ginv = np.linalg.inv(g)
+    # christoffel checks the domain and the metric's condition at x
     gamma = christoffel(fld, x)
+    ginv = np.linalg.inv(np.asarray(fld.metric(x), dtype=float))
 
     dim = fld.dim
     dgamma = np.zeros((dim, dim, dim, dim))

@@ -308,11 +308,6 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     photon-number sector when the states share a sectoring, one real piece
     per parity class of n1 + n2 for a mode-mixed x squeezed pair.
     """
-    for rho in (rho_a, rho_b):
-        if rho.trace_deficit > DEFAULT_MAX_DEFICIT:
-            raise TruncationError(
-                f"trace deficit {rho.trace_deficit:.3e} too large for the oracle"
-            )
     sqrt_a = np.sqrt(rho_a.spectrum)
     sqrt_b = np.sqrt(rho_b.spectrum)
     return sum(_trace_norm(sqrt_a[idx, None] * inner * sqrt_b[None, idx])
@@ -339,8 +334,10 @@ def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,
     """
     _check_occupancies(n1a, n2a)
     _check_occupancies(n1b, n2b)
-    if n_terms < 1:
-        raise ValidationError("n_terms must be at least 1")
+    # chained so that NaN and inf fail before int() sees them
+    if not (1 <= n_terms < math.inf and int(n_terms) == n_terms):
+        raise ValidationError("n_terms must be a positive integer")
+    n_terms = int(n_terms)
     s1 = np.sqrt(thermal_weights(n1a, n_terms) * thermal_weights(n1b, n_terms)).sum()
     s2 = np.sqrt(thermal_weights(n2a, n_terms) * thermal_weights(n2b, n_terms)).sum()
     return float((s1 * s2) ** 2)

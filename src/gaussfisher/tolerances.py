@@ -22,10 +22,9 @@ class Tolerances:
     # physicality: smallest eigenvalue of V + (i/2)J may undershoot by this much,
     # on top of the eigensolver roundoff allowed in core.check_physical
     psd: float = 1e-10
-    # imaginary / negative residue allowed in the complex edge determinants,
-    # scaled by (1 + |Re|)
-    imag: float = 1e-9
-    # slack for the exact determinant inequalities, scaled by (1 + magnitude)
+    # slack for the exact determinant identities, scaled by (1 + magnitude):
+    # the inequalities on delta, gamma and k_minus, and the imaginary or
+    # negative residue of the complex edge determinants det(V + iJ/2)
     invariant: float = 1e-9
     # square-root arguments this close below zero are clamped to zero
     branch: float = 1e-10

@@ -269,9 +269,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_all_without_oracle_notes_gate(self, capsys):
+    def test_all_runs_every_suite(self, capsys, monkeypatch):
+        # a stand-in oracle suite keeps this fast; the real one runs in CI
+        monkeypatch.setitem(verification.SUITES, "oracle",
+                            lambda seed: [verification.CheckResult("stand-in", True, "ok")])
         assert cli.main(["verify", "all", "--seed", "11"]) == 0
-        assert "gated behind --include-oracle" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS [oracle] stand-in: ok" in out and "SKIP" not in out
+        for name in verification.SUITES:
+            assert f"PASS [{name}] " in out
 
     def test_negative_seed_exits_2(self, capsys):
         assert cli.main(["verify", "core", "--seed", "-1"]) == 2
@@ -316,7 +322,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", "core", "--seed", "11"]) == 0
         default = capsys.readouterr().out.splitlines()
         assert default[0] == (
-            "TOLERANCES sym=1e-12 psd=1e-10 imag=1e-09 invariant=1e-09 "
+            "TOLERANCES sym=1e-12 psd=1e-10 invariant=1e-09 "
             "branch=1e-10 kminus=1e-11 prob_norm=1e-09")
         tolerance_env(psd="1e-8")
         assert cli.main(["verify", "core", "--seed", "11"]) == 0
@@ -356,7 +362,8 @@ class TestParser:
         ["curvature", "MTS", "2", "1", "--step", "1e-3"],
         ["metric", "{doc}", "--step", "1e-3"],
         ["verify", "oracle", "--truncation", "6"],
-    ], ids=["curvature_step", "metric_step", "verify_truncation"])
+        ["verify", "all", "--include-oracle"],
+    ], ids=["curvature_step", "metric_step", "verify_truncation", "verify_oracle_gate"])
     def test_fixed_settings_are_not_options(self, tmp_path, capsys, argv):
         doc = write(tmp_path, "a.txt", MTS_DOC)
         with pytest.raises(SystemExit) as exc:

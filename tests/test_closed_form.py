@@ -32,6 +32,11 @@ class TestQAffinity:
         with pytest.raises(ValidationError):
             cf.q_affinity(-0.1, 1.0)
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite(self, x, y):
+        with pytest.raises(ValidationError):
+            cf.q_affinity(x, y)
+
     @given(occupancies, occupancies)
     @settings(max_examples=100, deadline=None)
     def test_at_least_one(self, x, y):
@@ -44,6 +49,10 @@ class TestThermalFidelity:
 
     def test_vacuum_vs_unit(self):
         assert cf.fidelity_ts(0.0, 0.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            cf.fidelity_ts(math.nan, 1.0, 1.0, 1.0)
 
     def test_multiplicative_over_modes(self, rng):
         eye2 = np.eye(2)

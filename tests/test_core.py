@@ -181,6 +181,15 @@ class TestFidelityOneMode:
             core.fidelity_one_mode(np.zeros(2), 0.25 * np.eye(2),
                                    np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("mean", [[math.nan, 0.0], [math.inf, 0.0], [0.0, 0.0, 0.0]],
+                             ids=["nan", "inf", "three"])
+    def test_rejects_bad_mean(self, mean):
+        cov = 1.5 * np.eye(2)
+        with pytest.raises(ValidationError):
+            core.fidelity_one_mode(mean, cov, [0.0, 0.0], cov)
+        with pytest.raises(ValidationError):
+            core.fidelity_one_mode([0.0, 0.0], cov, mean, cov)
+
 
 class TestDistances:
     def test_anchors(self):
@@ -198,6 +207,10 @@ class TestDistances:
     def test_rejects_large_overshoot(self):
         with pytest.raises(ValidationError):
             core.distances(1.001)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            core.distances(math.nan)
 
 
 class TestClassicalFidelity:
@@ -228,6 +241,12 @@ class TestClassicalFidelity:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             core.classical_fidelity([0.5, 0.4], [1.0, 0.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            core.classical_fidelity([math.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(ValidationError):
+            core.classical_fidelity([0.5, 0.5], [math.nan, 1.0])
 
     @given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=8))
     @settings(max_examples=60, deadline=None)

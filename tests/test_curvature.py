@@ -62,6 +62,13 @@ class TestChristoffel:
         with pytest.raises(ChartDomainError):
             cv.christoffel(cv.fiber_field("MTS"), [1e-9, 0.0])
 
+    def test_pipeline_rejects_singular_metric_without_guard(self):
+        # no domain guard, so the condition test is what refuses the point
+        fld = cv.MetricField(("x", "y"), lambda x: np.diag([1.0, 0.0]),
+                             lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(ChartDomainError, match="metric is singular"):
+            cv.scalar_curvature_pipeline(fld, [0.3, 0.4])
+
 
 class TestConstantCurvature:
     # the calibration values themselves are acceptance criterion 5

@@ -278,6 +278,20 @@ class TestUhlmannFidelity:
         fidelity, overlap = verification.fock_cross_agreement(np.random.default_rng(5), 2, 20)
         assert fidelity <= 1e-6 and overlap <= 1e-6
 
+    @pytest.mark.parametrize("a, b", [
+        (FamilyPoint.mts(0.40, 0.20, 1.30, 0.60), FamilyPoint.mts(0.25, 0.45, 0.70, -1.10)),
+        (FamilyPoint.sts(0.25, 0.10, 0.35, 0.40), FamilyPoint.sts(0.15, 0.28, 0.20, -0.90)),
+    ], ids=["mts", "sts"])
+    def test_deficit_is_checked_only_at_construction(self, a, b):
+        # records built with a widened max_deficit are used as they are
+        rho_a = fock.family_dm(a, 6, max_deficit=1.0)
+        rho_b = fock.family_dm(b, 6, max_deficit=1.0)
+        assert rho_a.trace_deficit > fock.DEFAULT_MAX_DEFICIT
+        general = core.fidelity_two_mode(a.to_state(), b.to_state())
+        assert fock.uhlmann_fidelity(rho_a, rho_b) == pytest.approx(
+            general.fidelity, abs=1e-2)
+        assert fock.overlap_fock(rho_a, rho_b) == pytest.approx(general.overlap, abs=1e-2)
+
     def test_incompatible_truncations_rejected(self):
         with pytest.raises(ValidationError):
             fock.uhlmann_fidelity(fock.thermal_dm(0.1, 0.1, 10),
@@ -394,6 +408,11 @@ class TestSpectralThermal:
     def test_rejects_bad_occupancies(self, ns):
         with pytest.raises(ValidationError):
             fock.spectral_fidelity_ts(*ns, 10)
+
+    @pytest.mark.parametrize("n_terms", [0, 1.5, math.inf, math.nan])
+    def test_rejects_non_integer_terms(self, n_terms):
+        with pytest.raises(ValidationError, match="positive integer"):
+            fock.spectral_fidelity_ts(1.0, 1.0, 1.0, 1.0, n_terms)
 
     def test_matches_uhlmann_on_commuting_states(self):
         spectral = fock.spectral_fidelity_ts(0.7, 0.3, 0.4, 0.9, 30)

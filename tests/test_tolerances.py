@@ -40,7 +40,7 @@ class TestToleranceEnv:
 
 
 @pytest.mark.parametrize("name, raw", [
-    ("psd", "abc"), ("sym", "nan"), ("psd", "-1"), ("imag", "inf"), ("branch", ""),
+    ("psd", "abc"), ("sym", "nan"), ("psd", "-1"), ("invariant", "inf"), ("branch", ""),
 ])
 def test_bad_override_raises_named(tolerance_env, name, raw):
     variable = f"GAUSSFISHER_{name.upper()}"
