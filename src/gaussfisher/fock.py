@@ -28,6 +28,18 @@ squeezer sector (in n1 - n2); each commutes past its own device's O and
 drops as well, so that pair's products and singular value decompositions
 are real.
 
+The thermal weights decay geometrically, so most of a parity class's
+weighted product M = sqrt(Wa) (Oa^T Ob) sqrt(Wb) lies below roundoff.
+Each class drops the lightest rows of M while their 2-norms sum to at most
+u ||M||_F / 2, u = 2^-53 the unit roundoff, then the lightest columns of
+what remains under the same budget, and decomposes only the kept block.
+Removing rows or columns raises no singular value (interlacing) and, by
+the triangle inequality, lowers the trace norm by at most the trace norm
+of what is removed; a removed row or column has rank one, so its trace
+norm is its 2-norm; and ||M||_1 >= ||M||_F. So each class's trace norm
+moves by at most u ||M||_1, and its |.|^2 sum by at most u^2 ||M||_F^2 / 2.
+The budget is fixed by u and is not an option.
+
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
 operator would climb past d - 1 photons, so it leaks probability through
@@ -47,6 +59,7 @@ from .states import MTS, STS, FamilyPoint, MtsParams, StsParams, _check_occupanc
 
 DEFAULT_MAX_DEFICIT = 1e-6
 DEFAULT_MAX_DEFECT = 1e-8
+UNIT_ROUNDOFF = 2.0 ** -53
 
 TOTAL = "n1+n2"       # conserved by the mode mixer
 DIFFERENCE = "n1-n2"  # conserved by the two-mode squeezer
@@ -113,22 +126,28 @@ def thermal_weights(n: float, d: int) -> np.ndarray:
 
 
 def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
+    """(d as an int, product thermal weights, trace deficit), checked."""
     _check_occupancies(n1, n2)
-    if d < 2:
-        raise ValidationError("per-mode truncation must be at least 2")
+    # chained so that NaN and inf fail before int() sees them
+    if not (2 <= d < math.inf and int(d) == d):
+        raise ValidationError("per-mode truncation must be an integer of at least 2")
+    # a NaN bound would pass every deficit, a negative one refuse every state
+    if not max_deficit >= 0.0:
+        raise ValidationError("max_deficit must be a non-negative number")
+    d = int(d)
     w = np.kron(thermal_weights(n1, d), thermal_weights(n2, d))
     deficit = 1.0 - w.sum()
     if deficit > max_deficit:
         raise TruncationError(
             f"trace deficit {deficit:.3e} exceeds {max_deficit:.1e}; raise d"
         )
-    return w, deficit
+    return d, w, deficit
 
 
 def thermal_dm(n1: float, n2: float, d: int,
                max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
     """Two-mode thermal state as a product of geometric mixtures."""
-    w, deficit = _thermal_spectrum(n1, n2, d, max_deficit)
+    d, w, deficit = _thermal_spectrum(n1, n2, d, max_deficit)
     return FockDensity(d=d, spectrum=w, trace_deficit=deficit)
 
 
@@ -186,6 +205,8 @@ def _bs_blocks(theta: float, phi: float, d: int):
 
 def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
     StsParams(0.0, 0.0, r, phi)  # range validation
+    if not max_defect >= 0.0:
+        raise ValidationError("max_defect must be a non-negative number")
     # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2);
     # its phase is gauged out as psi = -phi
     blocks = _sector_unitaries(d, DIFFERENCE, -r)
@@ -222,7 +243,7 @@ def family_dm(point: FamilyPoint, d: int,
     p = point.params
     if point.tag not in (MTS, STS):
         return thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
-    w, thermal_deficit = _thermal_spectrum(p.n1, p.n2, d, max_deficit)
+    d, w, thermal_deficit = _thermal_spectrum(p.n1, p.n2, d, max_deficit)
     if point.tag == MTS:
         conserved, blocks, psi = TOTAL, _bs_blocks(p.theta, p.phi, d), p.phi
     else:
@@ -238,18 +259,21 @@ def family_dm(point: FamilyPoint, d: int,
 
 
 def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
-    """Index set and block of Ua^dag Ub, up to outer diagonal phases, of
-    each piece of a pair's product.
+    """(row indices, column indices, block) of Ua^dag Ub, up to outer
+    diagonal phases, for each piece of a pair's product.
 
     Ua^dag Ub = Pa (Oa^T Pa^dag Pb Ob) Pb^dag, and the outer Pa, Pb^dag
     commute with the spectra, so only the middle product is formed. States
-    that share a sectoring give one piece per sector; a state without
-    blocks is diagonal in the Fock basis and fits either sectoring. A
-    mode-mixed x squeezed pair shares neither, but each of its sectors lies
-    inside one parity class of n1 + n2, so it gives one real piece Oa^T Ob
-    per parity class, assembled from the sector blocks in that class (the
-    relative phase commutes outward, see the module notes). The entries
-    between the classes are exactly zero and are never formed.
+    that share a sectoring give one piece per sector, with rows = cols = the
+    sector; a state without blocks is diagonal in the Fock basis and fits
+    either sectoring. A mode-mixed x squeezed pair shares neither, but each
+    of its sectors lies inside one parity class of n1 + n2, so it gives one
+    real piece Oa^T Ob per parity class, assembled from the sector blocks in
+    that class (the relative phase commutes outward, see the module notes).
+    The entries between the classes are exactly zero and are never formed.
+    Of each class only the rows and columns that survive the unit-roundoff
+    pruning of sqrt(Wa) (Oa^T Ob) sqrt(Wb) are kept (see the module notes);
+    a class that is exactly zero there is dropped whole.
     """
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
@@ -265,7 +289,14 @@ def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
             inner = _assemble(_in_class(rho_b, parity, position), len(idx))
             for rows, oa in _in_class(rho_a, parity, position):
                 inner[rows] = oa.T @ inner[rows]
-            yield idx, inner
+            # squared row and column 2-norms of M = sqrt(Wa) inner sqrt(Wb)
+            wa, wb, sq = rho_a.spectrum[idx], rho_b.spectrum[idx], np.square(inner)
+            row_sq = wa * (sq @ wb)
+            budget = 0.5 * UNIT_ROUNDOFF * math.sqrt(row_sq.sum())
+            rows = _heavy(np.sqrt(row_sq), budget)
+            if rows.size:
+                cols = _heavy(np.sqrt((wa[rows] @ sq[rows]) * wb), budget)
+                yield idx[rows], idx[cols], inner[np.ix_(rows, cols)]
         return
     conserved = kinds.pop() if kinds else TOTAL
     # a state without blocks is diagonal, so the other's phase drops as well
@@ -276,7 +307,15 @@ def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
                            _orthogonal_blocks(rho_b, conserved)):
         if shift:
             ob = np.exp(-1j * shift * (idx // d))[:, None] * ob
-        yield idx, oa.T @ ob
+        yield idx, idx, oa.T @ ob
+
+
+def _heavy(norms: np.ndarray, budget: float) -> np.ndarray:
+    """Ascending positions left once the smallest ``norms`` are dropped
+    while their sum stays at most ``budget``."""
+    order = np.argsort(norms, kind="stable")
+    light = np.searchsorted(np.cumsum(norms[order]), budget, side="right")
+    return np.sort(order[light:])
 
 
 def _in_class(rho: FockDensity, parity: int, position: np.ndarray):
@@ -306,12 +345,15 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     and under the outer diagonal phases that ``_inner_blocks`` strips from
     the middle product. That product splits into its pieces: one per
     photon-number sector when the states share a sectoring, one real piece
-    per parity class of n1 + n2 for a mode-mixed x squeezed pair.
+    per parity class of n1 + n2 for a mode-mixed x squeezed pair. That
+    class piece M is cut to the rows and columns whose removal moves its
+    trace norm by at most u ||M||_1 (u = 2^-53, see the module notes), so
+    the fidelity moves by a relative 2u at most.
     """
     sqrt_a = np.sqrt(rho_a.spectrum)
     sqrt_b = np.sqrt(rho_b.spectrum)
-    return sum(_trace_norm(sqrt_a[idx, None] * inner * sqrt_b[None, idx])
-               for idx, inner in _inner_blocks(rho_a, rho_b)) ** 2
+    return sum(_trace_norm(sqrt_a[rows, None] * block * sqrt_b[None, cols])
+               for rows, cols, block in _inner_blocks(rho_a, rho_b)) ** 2
 
 
 def _trace_norm(m: np.ndarray) -> float:
@@ -319,10 +361,16 @@ def _trace_norm(m: np.ndarray) -> float:
 
 
 def overlap_fock(rho_a: FockDensity, rho_b: FockDensity) -> float:
-    """Tr(rho_a rho_b) on the truncated space."""
+    """Tr(rho_a rho_b) on the truncated space.
+
+    Summed over the pieces of ``_inner_blocks``. The rows and columns a
+    mixed x squeezed pair drops from a parity class carry a weighted |.|^2
+    sum of at most u^2 ||M||_F^2 / 2, far below the roundoff of that
+    class's share ||M||_F^2 of the overlap.
+    """
     # Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j
-    return float(sum(rho_a.spectrum[idx] @ np.abs(inner) ** 2 @ rho_b.spectrum[idx]
-                     for idx, inner in _inner_blocks(rho_a, rho_b)))
+    return float(sum(rho_a.spectrum[rows] @ np.abs(block) ** 2 @ rho_b.spectrum[cols]
+                     for rows, cols, block in _inner_blocks(rho_a, rho_b)))
 
 
 def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,

@@ -68,6 +68,29 @@ class TestThermalDm:
         with pytest.raises(ValidationError):
             fock.thermal_dm(n1, n2, 6)
 
+    def test_rejects_nan_deficit_bound(self):
+        # a NaN bound used to pass a state with trace deficit 7.4e-3
+        with pytest.raises(ValidationError, match="max_deficit"):
+            fock.family_dm(FamilyPoint.mts(0.4, 0.2, 1.3, 0.6), 4, max_deficit=math.nan)
+
+    def test_rejects_negative_deficit_bound(self):
+        with pytest.raises(ValidationError, match="max_deficit"):
+            fock.family_dm(FamilyPoint.mts(0.4, 0.2, 1.3, 0.6), 40, max_deficit=-1e-9)
+
+    @pytest.mark.parametrize("d", [2.5, math.inf, math.nan])
+    def test_rejects_non_integer_truncation(self, d):
+        with pytest.raises(ValidationError, match="integer of at least 2"):
+            fock.thermal_dm(0.3, 0.2, d, max_deficit=1.0)
+
+    @pytest.mark.parametrize("d", [np.int64(12), 12.0], ids=["numpy_int", "float"])
+    def test_accepts_integer_valued_truncation(self, d):
+        point = FamilyPoint.sts(0.3, 0.2, 0.4, 0.1)
+        rho = fock.family_dm(point, d)
+        assert rho.d == 12 and type(rho.d) is int
+        reference = fock.family_dm(point, 12)
+        assert fock.uhlmann_fidelity(rho, reference) == fock.uhlmann_fidelity(reference,
+                                                                              reference)
+
 
 def dense_generator(device, x, phi, d):
     """Truncated device generator built densely from kron mode operators;
@@ -142,6 +165,15 @@ class TestBlockedUnitaries:
     def test_sq_defect_guard_still_applies(self):
         with pytest.raises(TruncationError):
             fock.sq_unitary(1.5, 0.3, 6, max_defect=0.0)
+
+    def test_rejects_nan_defect_bound(self):
+        # a NaN bound used to pass every unitary
+        with pytest.raises(ValidationError, match="max_defect"):
+            fock.sq_unitary(0.3, 0.1, 6, max_defect=math.nan)
+
+    def test_rejects_negative_defect_bound(self):
+        with pytest.raises(ValidationError, match="max_defect"):
+            fock.sq_unitary(0.3, 0.1, 6, max_defect=-1e-12)
 
 
 class TestBsUnitary:
@@ -223,18 +255,32 @@ class TestUhlmannFidelity:
 
     @pytest.fixture
     def svd_inputs(self, monkeypatch):
-        """(size, dtype) of each matrix whose trace norm the oracle takes."""
+        """(shape, dtype) of each matrix whose trace norm the oracle takes."""
         inputs = []
         trace_norm = fock._trace_norm
 
         def recording(m):
-            inputs.append((max(m.shape), m.dtype))
+            inputs.append((m.shape, m.dtype))
             return trace_norm(m)
 
         monkeypatch.setattr(fock, "_trace_norm", recording)
         return inputs
 
-    def test_cross_family_takes_parity_path(self, svd_inputs):
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """(row indices, column indices) of each piece the oracle sums."""
+        pieces = []
+        inner_blocks = fock._inner_blocks
+
+        def recording(rho_a, rho_b):
+            for rows, cols, block in inner_blocks(rho_a, rho_b):
+                pieces.append((rows, cols))
+                yield rows, cols, block
+
+        monkeypatch.setattr(fock, "_inner_blocks", recording)
+        return pieces
+
+    def test_cross_family_takes_parity_path(self, svd_inputs, kept):
         d = 16
         a = FamilyPoint.mts(0.3, 0.15, 1.2, 0.4)
         b = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
@@ -242,8 +288,13 @@ class TestUhlmannFidelity:
         for pair in ((a, b), (b, a)):
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-10)
-        # both device phases gauge out, so the two SVDs per pair are real
-        assert svd_inputs == [((d * d + 1) // 2, np.float64), (d * d // 2, np.float64)] * 2
+        # both device phases gauge out, so the two SVDs per pair are real;
+        # each is taken on the kept rows and columns of one parity class
+        assert [dtype for _, dtype in svd_inputs] == [np.float64] * 4
+        for (shape, _), (rows, cols), cls in zip(svd_inputs, kept,
+                                                 fock.sectors(d, fock.PARITY) * 2):
+            assert shape == (len(rows), len(cols))
+            assert set(rows) <= set(cls) and set(cols) <= set(cls)
 
     @pytest.mark.parametrize("device", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
                                         FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
@@ -254,7 +305,7 @@ class TestUhlmannFidelity:
         for pair in ((thermal, device), (device, thermal)):
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-9)
-        sizes = [size for size, _ in svd_inputs]
+        sizes = [max(shape) for shape, _ in svd_inputs]
         assert len(sizes) == 2 * (2 * d - 1) and max(sizes) == d
         assert {dtype for _, dtype in svd_inputs} == {np.dtype(np.float64)}
 
@@ -272,7 +323,59 @@ class TestUhlmannFidelity:
             overlap = rho_a.spectrum @ np.abs(inner) ** 2 @ rho_b.spectrum
             assert abs(fock.uhlmann_fidelity(rho_a, rho_b) - fidelity) <= 1e-13
             assert abs(fock.overlap_fock(rho_a, rho_b) - overlap) <= 1e-13
-        assert max(size for size, _ in svd_inputs) == (d * d + 1) // 2
+        assert max(max(shape) for shape, _ in svd_inputs) == (d * d + 1) // 2
+
+    @staticmethod
+    def class_products(rho_a, rho_b):
+        """(class, full Oa^T Ob on it) per parity class, formed densely
+        from the sector blocks without any pruning."""
+        d = rho_a.d
+        dense = [fock._assemble(zip(fock.sectors(d, rho.conserved), rho.blocks), d * d)
+                 for rho in (rho_a, rho_b)]
+        return [(cls, dense[0][np.ix_(cls, cls)].T @ dense[1][np.ix_(cls, cls)])
+                for cls in fock.sectors(d, fock.PARITY)]
+
+    def test_pruned_classes_match_unpruned(self, rng, svd_inputs, kept):
+        d = 40
+        classes = fock.sectors(d, fock.PARITY)
+        pairs = [(FamilyPoint.mts(0.3, 0.15, 1.2, 0.4), FamilyPoint.sts(0.2, 0.1, 0.3, -0.8))]
+        pairs += [(verification.random_mts(rng, occ_high=1.0),
+                   verification.random_sts(rng, occ_high=0.5, r_high=0.6))
+                  for _ in range(4)]
+        for a, b in pairs:
+            rho = fock.family_dm(a, d), fock.family_dm(b, d)
+            sqrt_a, sqrt_b = (np.sqrt(r.spectrum) for r in rho)
+            fidelity = overlap = 0.0
+            for cls, inner in self.class_products(*rho):
+                m = sqrt_a[cls, None] * inner * sqrt_b[None, cls]
+                fidelity += np.linalg.svd(m, compute_uv=False).sum()
+                overlap += (m ** 2).sum()
+            # the reversed pair's class products are the transposes
+            for rho_a, rho_b in (rho, rho[::-1]):
+                svd_inputs.clear()
+                kept.clear()
+                assert abs(fock.uhlmann_fidelity(rho_a, rho_b) - fidelity ** 2) <= 2e-15
+                # most of each class lies below roundoff at d = 40, so every
+                # decomposed block is a strict row and column subset of it
+                assert len(svd_inputs) == len(kept) == len(classes)
+                for (shape, _), (rows, cols), cls in zip(svd_inputs, kept, classes):
+                    assert shape == (len(rows), len(cols))
+                    assert set(rows) < set(cls) and set(cols) < set(cls)
+                assert abs(fock.overlap_fock(rho_a, rho_b) - overlap) <= 2e-15
+
+    def test_pure_pair_drops_zero_class(self, kept):
+        # a vacuum and a squeezed vacuum: both spectra are |0, 0>, so the
+        # odd class of the product is exactly zero
+        d = 40
+        a = FamilyPoint.mts(0.0, 0.0, 1.2, 0.4)
+        b = FamilyPoint.sts(0.0, 0.0, 0.3, -0.8)
+        general = core.fidelity_two_mode(a.to_state(), b.to_state())
+        even, _ = fock.sectors(d, fock.PARITY)
+        for pair in ((a, b), (b, a)):
+            kept.clear()
+            value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
+            assert value == pytest.approx(general.fidelity, abs=1e-10)
+            assert len(kept) == 1 and set(kept[0][0]) <= set(even)
 
     def test_cross_family_catalogue_check(self):
         fidelity, overlap = verification.fock_cross_agreement(np.random.default_rng(5), 2, 20)
