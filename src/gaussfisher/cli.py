@@ -4,11 +4,12 @@ Subcommands: ``fidelity``, ``metric``, ``curvature``, ``surface``,
 ``verify``, ``oracle``. Single evaluations print flat ``key = value``
 report documents; grids are written as CSV with 17-significant-digit
 rendering. Exit status: 0 on success, 1 on verification failure, 2 on
-input errors.
+input errors, 141 when the reader closes stdout before the output ends.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -422,12 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here at the latest
+        return status
     except GaussFisherError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout was closed (``gaussfisher verify all | head``): stop quietly,
+        # with stdout on devnull so that the interpreter's last flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status a shell gives a pipe-killed process
 
 
 if __name__ == "__main__":

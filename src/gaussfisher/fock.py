@@ -7,14 +7,10 @@ squeezer n1 - n2. Grouping the flat indices by that number splits the
 truncated space into 2d - 1 sectors of sizes 1, 2, ..., d, ..., 2, 1. The
 truncated generator couples only neighbouring states of one sector, so it
 is a direct sum of tridiagonal sector blocks, built from one matrix
-exponential per block. A state is held as its thermal spectrum plus those
-unitary sector blocks, never as a dense D x D density matrix; Uhlmann
-fidelities and overlaps are taken sector by sector. A mode-mixed x
-squeezed pair shares no such sectoring, but both devices keep the parity
-of n1 + n2 (the mixer keeps n1 + n2, the squeezer changes it by 2), so
-its fidelity and overlap split into the two parity classes, of
-ceil(D/2) and floor(D/2) indices, and take one singular value
-decomposition each.
+exponential per block; the squeezer's sectors n1 - n2 = k and -k swap the
+two modes and share one block. A state is held as its thermal spectrum
+plus those unitary sector blocks, never as a dense D x D density matrix;
+Uhlmann fidelities and overlaps are taken sector by sector.
 
 All couplings of one generator share one phase, and n1 rises by one per
 step within every sector, so each device unitary is U = P O P^dag with a
@@ -28,17 +24,34 @@ squeezer sector (in n1 - n2); each commutes past its own device's O and
 drops as well, so that pair's products and singular value decompositions
 are real.
 
-The thermal weights decay geometrically, so most of a parity class's
-weighted product M = sqrt(Wa) (Oa^T Ob) sqrt(Wb) lies below roundoff.
-Each class drops the lightest rows of M while their 2-norms sum to at most
-u ||M||_F / 2, u = 2^-53 the unit roundoff, then the lightest columns of
-what remains under the same budget, and decomposes only the kept block.
-Removing rows or columns raises no singular value (interlacing) and, by
-the triangle inequality, lowers the trace norm by at most the trace norm
-of what is removed; a removed row or column has rank one, so its trace
-norm is its 2-norm; and ||M||_1 >= ||M||_F. So each class's trace norm
-moves by at most u ||M||_1, and its |.|^2 sum by at most u^2 ||M||_F^2 / 2.
-The budget is fixed by u and is not an option.
+A mode-mixed x squeezed pair shares no sectoring, but a mixer sector
+(fixed T = n1 + n2) and a squeezer sector (fixed K = n1 - n2) share at
+most one flat index, m = ((T + K)/2, (T - K)/2) when that lies on the
+d x d grid. So every entry of the product Oa^T Ob of the pair's real
+orthogonal factors is a single product, not a sum:
+(Oa^T Ob)_ij = Oa[m, i] Ob[m, j] for the m shared by the sectors of i
+and j, and exactly zero when there is none. Both devices
+keep the parity of n1 + n2 (the mixer keeps n1 + n2, the squeezer
+changes it by 2), so the product splits into the two parity classes, of
+ceil(D/2) and floor(D/2) indices, and the fidelity takes one singular
+value decomposition per class. The same identity gives the squared
+entries as (Oa o Oa)^T (Ob o Ob), o the elementwise product, so the
+squared row norms of the weighted product M = sqrt(Wa) (Oa^T Ob) sqrt(Wb)
+are wa o ((Oa o Oa)^T ((Ob o Ob) wb)) and its column norms likewise:
+sector-block work, O(d^3), with no product formed. Their sum is the
+overlap Tr(rho_a rho_b).
+
+The thermal weights decay geometrically, so most of M lies below
+roundoff. Each class drops the lightest rows of M while their 2-norms sum
+to at most u ||M||_F / 2, u = 2^-53 the unit roundoff, then the lightest
+columns of what remains under the same budget, all read off those norms;
+only the kept block of Oa^T Ob is gathered, one product per entry, and
+decomposed. Removing rows or columns raises no singular value
+(interlacing) and, by the triangle inequality, lowers the trace norm by
+at most the trace norm of what is removed; a removed row or column has
+rank one, so its trace norm is its 2-norm; and ||M||_1 >= ||M||_F. So
+each class's trace norm moves by at most u ||M||_1. The budget is fixed
+by u and is not an option; the overlap is not pruned.
 
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
@@ -75,9 +88,9 @@ class FockDensity:
     over the flat indices; U is the identity when ``blocks`` is None (a
     thermal state). No dense D x D matrix is stored: fidelities and
     overlaps are computed from the spectrum and the blocks, and a
-    mode-mixed x squeezed pair forms one real block per parity class of
-    n1 + n2, of at most ceil(D/2) indices, since both device phases drop
-    out of its products.
+    mode-mixed x squeezed pair gathers at most one real block per parity
+    class of n1 + n2, of at most ceil(D/2) indices, since both device
+    phases drop out of its products.
     """
 
     d: int
@@ -125,16 +138,21 @@ def thermal_weights(n: float, d: int) -> np.ndarray:
     return np.exp(k * math.log(n) - (k + 1) * math.log(n + 1.0))
 
 
-def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
-    """(d as an int, product thermal weights, trace deficit), checked."""
-    _check_occupancies(n1, n2)
+def _check_truncation(d) -> int:
+    """The per-mode truncation as an int; it must be an integer of at least 2."""
     # chained so that NaN and inf fail before int() sees them
     if not (2 <= d < math.inf and int(d) == d):
         raise ValidationError("per-mode truncation must be an integer of at least 2")
+    return int(d)
+
+
+def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
+    """(d as an int, product thermal weights, trace deficit), checked."""
+    _check_occupancies(n1, n2)
+    d = _check_truncation(d)
     # a NaN bound would pass every deficit, a negative one refuse every state
     if not max_deficit >= 0.0:
         raise ValidationError("max_deficit must be a non-negative number")
-    d = int(d)
     w = np.kron(thermal_weights(n1, d), thermal_weights(n2, d))
     deficit = 1.0 - w.sum()
     if deficit > max_deficit:
@@ -166,19 +184,25 @@ def _sector_unitaries(d: int, conserved: str, coupling: float):
     sqrt(m1 m2) is the ladder amplitude between neighbours j and j + 1. In
     a TOTAL sector j + 1 holds one photon more in mode 1 and one fewer in
     mode 2, so m1 is n1 of j + 1 and m2 is n2 of j; in a DIFFERENCE sector
-    j + 1 holds one more in each mode, so both are read off j + 1. The
+    j + 1 holds one more in each mode, so both are read off j + 1, and the
+    sectors n1 - n2 = k and -k, which swap the two modes, hold the same
+    block: only the d sectors with k >= 0 are exponentiated. The
     exponential is taken in complex arithmetic, whose imaginary part is
     exactly zero here: scipy's real-dtype expm is about ten times less
     accurate on these blocks.
     """
-    blocks = []
-    for idx in sectors(d, conserved):
+    def block(idx):
         n1, n2 = np.divmod(idx, d)
         ladder = n2[:-1] if conserved == TOTAL else n2[1:]
         upper = coupling * np.sqrt(n1[1:] * ladder)
         generator = np.diag(upper, 1) - np.diag(upper, -1)
-        blocks.append(expm(generator.astype(complex)).real)
-    return tuple(blocks)
+        return expm(generator.astype(complex)).real
+
+    if conserved == TOTAL:
+        return tuple(block(idx) for idx in sectors(d, conserved))
+    # sectors k = 0, ..., d - 1 sit at positions d - 1 + k
+    mirrored = [block(idx) for idx in sectors(d, conserved)[d - 1:]]
+    return tuple(mirrored[:0:-1] + mirrored)
 
 
 def _assemble(pieces, dim: int) -> np.ndarray:
@@ -210,8 +234,9 @@ def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
     # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2);
     # its phase is gauged out as psi = -phi
     blocks = _sector_unitaries(d, DIFFERENCE, -r)
-    # O is block-diagonal, so its defect is the largest block defect
-    defect = max(unitarity_defect(o) for o in blocks)
+    # O is block-diagonal, so its defect is the largest block defect; the
+    # blocks of n1 - n2 < 0 repeat those of n1 - n2 > 0
+    defect = max(unitarity_defect(o) for o in blocks[d - 1:])
     if defect > max_defect:
         raise TruncationError(
             f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
@@ -221,6 +246,7 @@ def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
 
 def bs_unitary(theta: float, phi: float, d: int) -> np.ndarray:
     """Mode-mixing unitary on the truncated two-mode Fock space."""
+    d = _check_truncation(d)
     return _gauged(d, TOTAL, _bs_blocks(theta, phi, d), phi)
 
 
@@ -234,6 +260,7 @@ def sq_unitary(r: float, phi: float, d: int,
     and the matrix only represents the true operator faithfully on states
     far from the truncation boundary.
     """
+    d = _check_truncation(d)
     return _gauged(d, DIFFERENCE, _sq_blocks(r, phi, d, max_defect), -phi)
 
 
@@ -268,37 +295,20 @@ def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
     sector; a state without blocks is diagonal in the Fock basis and fits
     either sectoring. A mode-mixed x squeezed pair shares neither, but each
     of its sectors lies inside one parity class of n1 + n2, so it gives one
-    real piece Oa^T Ob per parity class, assembled from the sector blocks in
-    that class (the relative phase commutes outward, see the module notes).
-    The entries between the classes are exactly zero and are never formed.
-    Of each class only the rows and columns that survive the unit-roundoff
-    pruning of sqrt(Wa) (Oa^T Ob) sqrt(Wb) are kept (see the module notes);
-    a class that is exactly zero there is dropped whole.
+    real piece of Oa^T Ob per parity class (the relative phase commutes
+    outward, see the module notes). A mixer sector and a squeezer sector
+    share at most one flat index, so every entry of Oa^T Ob is a single
+    product Oa[m, i] Ob[m, j] (see ``_cross_entries``). Of each class only
+    the rows and columns that survive the unit-roundoff pruning of
+    sqrt(Wa) (Oa^T Ob) sqrt(Wb) are kept, chosen from norms taken sector
+    block by sector block (see the module notes), and only the kept block
+    is formed; a class that is exactly zero there is dropped whole.
     """
-    if rho_a.d != rho_b.d:
-        raise ValidationError("density matrices have incompatible truncations")
-    d = rho_a.d
-    kinds = {rho_a.conserved, rho_b.conserved} - {None}
-    if len(kinds) > 1:
-        classes = sectors(d, PARITY)
-        position = np.empty(d * d, dtype=int)  # of each flat index in its class
-        for idx in classes:
-            position[idx] = np.arange(len(idx))
-        for parity, idx in enumerate(classes):
-            # Ob restricted to the class, then Oa^T applied sector by sector
-            inner = _assemble(_in_class(rho_b, parity, position), len(idx))
-            for rows, oa in _in_class(rho_a, parity, position):
-                inner[rows] = oa.T @ inner[rows]
-            # squared row and column 2-norms of M = sqrt(Wa) inner sqrt(Wb)
-            wa, wb, sq = rho_a.spectrum[idx], rho_b.spectrum[idx], np.square(inner)
-            row_sq = wa * (sq @ wb)
-            budget = 0.5 * UNIT_ROUNDOFF * math.sqrt(row_sq.sum())
-            rows = _heavy(np.sqrt(row_sq), budget)
-            if rows.size:
-                cols = _heavy(np.sqrt((wa[rows] @ sq[rows]) * wb), budget)
-                yield idx[rows], idx[cols], inner[np.ix_(rows, cols)]
+    if _is_cross(rho_a, rho_b):
+        yield from _cross_blocks(rho_a, rho_b)
         return
-    conserved = kinds.pop() if kinds else TOTAL
+    d = rho_a.d
+    conserved = rho_a.conserved or rho_b.conserved or TOTAL
     # a state without blocks is diagonal, so the other's phase drops as well
     both = rho_a.blocks is not None and rho_b.blocks is not None
     shift = rho_b.phase - rho_a.phase if both else 0.0
@@ -310,20 +320,100 @@ def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
         yield idx, idx, oa.T @ ob
 
 
+def _is_cross(rho_a: FockDensity, rho_b: FockDensity) -> bool:
+    """Whether the pair is mode-mixed x squeezed; refuses unequal truncations."""
+    if rho_a.d != rho_b.d:
+        raise ValidationError("density matrices have incompatible truncations")
+    return len({rho_a.conserved, rho_b.conserved} - {None}) > 1
+
+
+def _squares_times(rho: FockDensity, v: np.ndarray, transpose: bool = False):
+    """(O o O) v, or (O o O)^T v, over the flat indices, sector by sector;
+    o is the elementwise product."""
+    out = np.empty_like(v)
+    for idx, o in zip(sectors(rho.d, rho.conserved), rho.blocks):
+        sq = o * o
+        out[idx] = (sq.T if transpose else sq) @ v[idx]
+    return out
+
+
+def _cross_row_norms(rho_a: FockDensity, rho_b: FockDensity,
+                     wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Squared row 2-norms of sqrt(diag wa) (Oa^T Ob) sqrt(diag wb) for a
+    mode-mixed x squeezed pair, over all flat indices.
+
+    Every entry of Oa^T Ob is one product Oa[m, i] Ob[m, j], so its square
+    is that of (Oa o Oa)^T (Ob o Ob), o the elementwise product, and the
+    row norms are wa o ((Oa o Oa)^T ((Ob o Ob) wb)): sector-block work
+    only, no product is formed. The column norms are the row norms of the
+    swapped pair.
+    """
+    return wa * _squares_times(rho_a, _squares_times(rho_b, wb), transpose=True)
+
+
+def _cross_blocks(rho_a: FockDensity, rho_b: FockDensity):
+    """The pruned parity-class pieces of a mode-mixed x squeezed pair."""
+    wa, wb = rho_a.spectrum, rho_b.spectrum
+    row_sq = _cross_row_norms(rho_a, rho_b, wa, wb)
+    classes = sectors(rho_a.d, PARITY)
+    budgets = [0.5 * UNIT_ROUNDOFF * math.sqrt(row_sq[idx].sum()) for idx in classes]
+    kept_rows = [idx[_heavy(np.sqrt(row_sq[idx]), budget)]
+                 for idx, budget in zip(classes, budgets)]
+    # column norms over the kept rows only: wa is zeroed on the others;
+    # the two classes do not mix, so both are taken at once
+    kept_wa = np.zeros_like(wa)
+    for rows in kept_rows:
+        kept_wa[rows] = wa[rows]
+    col_sq = _cross_row_norms(rho_b, rho_a, wb, kept_wa)
+    columns_a, columns_b = _columns_by_n1(rho_a), _columns_by_n1(rho_b)
+    for idx, budget, rows in zip(classes, budgets, kept_rows):
+        if rows.size:
+            cols = idx[_heavy(np.sqrt(col_sq[idx]), budget)]
+            yield rows, cols, _cross_entries(columns_a, columns_b, rows, cols)
+
+
+def _columns_by_n1(rho: FockDensity):
+    """(conserved number of each flat index, table) of one device state.
+
+    Row x of the (D, d + 1) table holds column x of O, each entry placed
+    by the n1 of its row index; the last column and every n1 outside
+    x's sector hold zero. The conserved number is n1 + n2 or n1 - n2.
+    """
+    d = rho.d
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    table = np.zeros((d * d, d + 1))
+    for idx, o in zip(sectors(d, rho.conserved), rho.blocks):
+        first = idx[0] // d  # n1 ascends by one within a sector
+        table[idx, first:first + len(idx)] = o.T
+    return (n1 + n2 if rho.conserved == TOTAL else n1 - n2), table
+
+
+def _cross_entries(columns_a, columns_b, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Oa^T Ob on the given flat rows and columns of one parity class.
+
+    Row i lies in the sector of Oa with conserved number s_i, column j in
+    the sector of Ob with t_j; one of the two is n1 + n2, the other
+    n1 - n2, so the two sectors share at most the flat index m with
+    n1 = (s_i + t_j) / 2, and the entry is the single product
+    Oa[m, i] Ob[m, j]. It is exactly zero when no such m lies on the
+    d x d grid: one of the sectors then holds no index with that n1,
+    and its table holds zero there (``_columns_by_n1``).
+    """
+    (key_a, table_a), (key_b, table_b) = columns_a, columns_b
+    d = table_a.shape[1] - 1
+    n1 = (key_a[rows, None] + key_b[None, cols]) // 2
+    n1[(n1 < 0) | (n1 >= d)] = d
+    block = np.take_along_axis(table_a[rows], n1, axis=1)
+    block *= np.take_along_axis(table_b[cols], n1.T, axis=1).T
+    return block
+
+
 def _heavy(norms: np.ndarray, budget: float) -> np.ndarray:
     """Ascending positions left once the smallest ``norms`` are dropped
     while their sum stays at most ``budget``."""
     order = np.argsort(norms, kind="stable")
     light = np.searchsorted(np.cumsum(norms[order]), budget, side="right")
     return np.sort(order[light:])
-
-
-def _in_class(rho: FockDensity, parity: int, position: np.ndarray):
-    """(positions within parity class ``parity``, orthogonal block) of each
-    sector of ``rho`` that lies in that class."""
-    for idx, o in zip(sectors(rho.d, rho.conserved), rho.blocks):
-        if sum(divmod(int(idx[0]), rho.d)) % 2 == parity:
-            yield position[idx], o
 
 
 def _orthogonal_blocks(rho: FockDensity, conserved: str):
@@ -348,7 +438,9 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     per parity class of n1 + n2 for a mode-mixed x squeezed pair. That
     class piece M is cut to the rows and columns whose removal moves its
     trace norm by at most u ||M||_1 (u = 2^-53, see the module notes), so
-    the fidelity moves by a relative 2u at most.
+    the fidelity moves by a relative 2u at most; they are chosen from row
+    and column norms taken from the sector blocks, and only the kept
+    block is gathered and decomposed.
     """
     sqrt_a = np.sqrt(rho_a.spectrum)
     sqrt_b = np.sqrt(rho_b.spectrum)
@@ -363,12 +455,14 @@ def _trace_norm(m: np.ndarray) -> float:
 def overlap_fock(rho_a: FockDensity, rho_b: FockDensity) -> float:
     """Tr(rho_a rho_b) on the truncated space.
 
-    Summed over the pieces of ``_inner_blocks``. The rows and columns a
-    mixed x squeezed pair drops from a parity class carry a weighted |.|^2
-    sum of at most u^2 ||M||_F^2 / 2, far below the roundoff of that
-    class's share ||M||_F^2 of the overlap.
+    Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j.
+    Pairs that share a sectoring sum it over the pieces of
+    ``_inner_blocks``. A mode-mixed x squeezed pair forms no product: the
+    sum is that of the squared row norms of sqrt(Wa) (Oa^T Ob) sqrt(Wb),
+    taken from the sector blocks (``_cross_row_norms``) without pruning.
     """
-    # Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j
+    if _is_cross(rho_a, rho_b):
+        return float(_cross_row_norms(rho_a, rho_b, rho_a.spectrum, rho_b.spectrum).sum())
     return float(sum(rho_a.spectrum[rows] @ np.abs(block) ** 2 @ rho_b.spectrum[cols]
                      for rows, cols, block in _inner_blocks(rho_a, rho_b)))
 

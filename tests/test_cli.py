@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -371,3 +375,25 @@ class TestParser:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+class TestClosedStdout:
+    # a reader that leaves early (``gaussfisher verify all | head -3``) must
+    # not draw a BrokenPipeError traceback; the pipe here is closed before
+    # the first write, so every command meets it
+    @pytest.mark.parametrize("argv", [["verify", "core"], ["curvature", "MTS", "2", "1"]],
+                             ids=["verify", "report"])
+    def test_exits_quietly(self, argv):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gaussfisher", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141

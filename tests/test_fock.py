@@ -7,6 +7,7 @@ truncations, and the sector blocks against the dense truncated generator.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ def dense_unitary(point, d):
     if point.tag == STS:
         return fock.sq_unitary(p.r, p.phi, d)
     return np.eye(d * d, dtype=complex)
+
+
+# the pair of the CI smoke run: a mode-mixed and a squeezed thermal state
+CI_PAIR = (FamilyPoint.mts(0.3, 0.15, 1.2, 0.4), FamilyPoint.sts(0.2, 0.1, 0.3, -0.8))
 
 
 class TestThermalDm:
@@ -174,6 +179,27 @@ class TestBlockedUnitaries:
     def test_rejects_negative_defect_bound(self):
         with pytest.raises(ValidationError, match="max_defect"):
             fock.sq_unitary(0.3, 0.1, 6, max_defect=-1e-12)
+
+    @pytest.mark.parametrize("d", [6, 40])
+    def test_squeezer_sectors_mirror(self, d):
+        # n1 - n2 = k and -k swap the two modes: the same generator, so the
+        # same block (the blocks themselves are checked against the dense
+        # expm above)
+        blocks = fock._sq_blocks(0.9, -1.3, d, 1.0)
+        assert len(blocks) == 2 * d - 1
+        for k in range(1, d):
+            assert np.array_equal(blocks[d - 1 - k], blocks[d - 1 + k])
+
+    @pytest.mark.parametrize("helper", [fock.bs_unitary, fock.sq_unitary], ids=["bs", "sq"])
+    @pytest.mark.parametrize("d", [1, 2.5, math.inf, math.nan])
+    def test_dense_helpers_reject_bad_truncation(self, helper, d):
+        with pytest.raises(ValidationError, match="integer of at least 2"):
+            helper(0.3, 0.1, d)
+
+    @pytest.mark.parametrize("helper", [fock.bs_unitary, fock.sq_unitary], ids=["bs", "sq"])
+    def test_dense_helpers_accept_integer_valued_truncation(self, helper):
+        assert np.array_equal(helper(0.3, 0.1, 6.0), helper(0.3, 0.1, 6))
+        assert np.array_equal(helper(0.3, 0.1, np.int64(7)), helper(0.3, 0.1, 7))
 
 
 class TestBsUnitary:
@@ -362,6 +388,55 @@ class TestUhlmannFidelity:
                     assert shape == (len(rows), len(cols))
                     assert set(rows) < set(cls) and set(cols) < set(cls)
                 assert abs(fock.overlap_fock(rho_a, rho_b) - overlap) <= 2e-15
+
+    @pytest.mark.parametrize("d", [12, 13, 40])
+    def test_kept_blocks_are_class_product_entries(self, d):
+        # each gathered entry is the single product Oa[m, i] Ob[m, j], which
+        # is also all that the dense product of the class blocks sums to
+        for pair in (CI_PAIR, CI_PAIR[::-1]):
+            rho = [fock.family_dm(p, d) for p in pair]
+            pieces = list(fock._inner_blocks(*rho))
+            assert len(pieces) == 2
+            for (rows, cols, block), (cls, inner) in zip(pieces, self.class_products(*rho)):
+                at_rows, at_cols = np.searchsorted(cls, rows), np.searchsorted(cls, cols)
+                assert np.array_equal(cls[at_rows], rows)
+                assert np.array_equal(cls[at_cols], cols)
+                assert block.dtype == np.float64
+                assert np.array_equal(block, inner[np.ix_(at_rows, at_cols)])
+
+    @pytest.mark.parametrize("d", [13, 40])
+    def test_norms_from_blocks_match_dense(self, d, rng):
+        for pair in (CI_PAIR, CI_PAIR[::-1]):
+            rho_a, rho_b = (fock.family_dm(p, d) for p in pair)
+            wa, wb = rho_a.spectrum, rho_b.spectrum
+            # column norms are taken over the kept rows: zero some row weights
+            kept_wa = np.where(rng.uniform(size=wa.size) < 0.5, wa, 0.0)
+            rows = fock._cross_row_norms(rho_a, rho_b, wa, wb)
+            cols = fock._cross_row_norms(rho_b, rho_a, wb, kept_wa)
+            for cls, inner in self.class_products(rho_a, rho_b):
+                square = inner ** 2
+                np.testing.assert_allclose(rows[cls], wa[cls] * (square @ wb[cls]),
+                                           rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(cols[cls], (kept_wa[cls] @ square) * wb[cls],
+                                           rtol=1e-13, atol=0.0)
+
+    def test_cross_pair_memory(self):
+        # below one dense class product at d = 40 (800 x 800 float64)
+        d = 40
+        rho_a, rho_b = (fock.family_dm(p, d) for p in CI_PAIR)
+        class_bytes = 8 * len(fock.sectors(d, fock.PARITY)[0]) ** 2
+        tracemalloc.start()
+        try:
+            fock.uhlmann_fidelity(rho_a, rho_b)
+            uhlmann_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            fock.overlap_fock(rho_a, rho_b)
+            overlap_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert class_bytes == 5_120_000
+        assert uhlmann_peak < class_bytes
+        assert overlap_peak < 1_000_000
 
     def test_pure_pair_drops_zero_class(self, kept):
         # a vacuum and a squeezed vacuum: both spectra are |0, 0>, so the
