@@ -6,18 +6,25 @@ photon-number combination: the mode mixer conserves n1 + n2, the two-mode
 squeezer n1 - n2. Grouping the flat indices by that number splits the
 truncated space into 2d - 1 sectors of sizes 1, 2, ..., d, ..., 2, 1. The
 truncated generator couples only neighbouring states of one sector, so it
-is a direct sum of tridiagonal sector blocks, built from one matrix
-exponential per block; the squeezer's sectors n1 - n2 = k and -k swap the
-two modes and share one block. A state is held as its thermal spectrum
-plus those unitary sector blocks, never as a dense D x D density matrix;
-Uhlmann fidelities and overlaps are taken sector by sector.
+is a direct sum of tridiagonal sector blocks; the squeezer's sectors
+n1 - n2 = k and -k swap the two modes and share one block. A state is held
+as its thermal spectrum plus those unitary sector blocks, never as a dense
+D x D density matrix; Uhlmann fidelities and overlaps are taken sector by
+sector.
 
 All couplings of one generator share one phase, and n1 rises by one per
 step within every sector, so each device unitary is U = P O P^dag with a
-real orthogonal O (the expm of the same blocks with a real coupling) and
-P = diag(exp(-i psi n1)); psi is phi for the mixer and -phi for the
-squeezer. Diagonal factors commute with the thermal spectra and drop out
-of every trace norm and |.|^2 the oracle takes. For a mode-mixed x
+real orthogonal O and P = diag(exp(-i psi n1)); psi is phi for the mixer
+and -phi for the squeezer. O is the exponential of the same sector blocks
+with a real coupling. The blocks are zero-padded into a few stacks of
+equal size, and each stack is exponentiated in one batched real pass:
+scaling and squaring with the degree-13 Pade approximant (Higham 2005),
+each block scaled by its own power of two. The pad exponentiates to
+exactly the identity and leaks into no block, so each block is read off
+the leading corner of its slice.
+
+Diagonal factors commute with the thermal spectra and drop out of every
+trace norm and |.|^2 the oracle takes. For a mode-mixed x
 squeezed pair the relative phase exp(-i (psi_b - psi_a) n1) splits into a
 factor constant on each mixer sector (in n1 + n2) and one constant on each
 squeezer sector (in n1 - n2); each commutes past its own device's O and
@@ -65,7 +72,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationError, ValidationError
 from .states import MTS, STS, FamilyPoint, MtsParams, StsParams, _check_occupancies
@@ -128,8 +134,9 @@ def sectors(d: int, conserved: str) -> tuple[np.ndarray, ...]:
     return out
 
 
-def thermal_weights(n: float, d: int) -> np.ndarray:
-    """Geometric photon-number weights n^k / (n+1)^(k+1), k < d."""
+def _thermal_weights(n: float, d: int) -> np.ndarray:
+    """Geometric photon-number weights n^k / (n+1)^(k+1), k < d; the
+    callers check n and d."""
     k = np.arange(d)
     if n == 0.0:
         w = np.zeros(d)
@@ -153,7 +160,7 @@ def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
     # a NaN bound would pass every deficit, a negative one refuse every state
     if not max_deficit >= 0.0:
         raise ValidationError("max_deficit must be a non-negative number")
-    w = np.kron(thermal_weights(n1, d), thermal_weights(n2, d))
+    w = np.kron(_thermal_weights(n1, d), _thermal_weights(n2, d))
     deficit = 1.0 - w.sum()
     if deficit > max_deficit:
         raise TruncationError(
@@ -170,39 +177,120 @@ def thermal_dm(n1: float, n2: float, d: int,
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm deviation of u^dag u from the identity."""
-    dim = u.shape[0]
-    return float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    """Max-norm deviation of u^dag u from the identity; for a stack of
+    matrices, the largest over the stack."""
+    dim = u.shape[-1]
+    return float(np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(dim)).max())
+
+
+# Degree-13 Pade approximant r13 = q13(A)^-1 p13(A) of exp(A), with
+# p13(A) = sum_k b_k A^k, b_k = (26 - k)! / (k! (13 - k)!), and
+# q13(A) = p13(-A), and the largest 1-norm at which it reaches unit-roundoff
+# backward error unscaled: Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+# (2005), eq. (2.2) and Table 2.3. Every b_k is an integer that float64
+# holds exactly.
+_PADE13 = tuple(float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k)))
+                for k in range(14))
+_THETA13 = 5.371920351148152
+_STACK_STEP = 8  # stacked sector generators are zero-padded to a multiple of this
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of a real (B, m, m) stack.
+
+    Scaling and squaring with the degree-13 Pade approximant, evaluated in
+    Higham's six-product form and one batched solve; each slice is scaled
+    by its own power of two, chosen from its own 1-norm, and squared back
+    that many times. An index whose row and column of a slice are zero is
+    decoupled, and its exponential is 1: its diagonal entry of V -/+ U is
+    set to 1 instead of b_0, so that the solve returns exactly 1 there.
+    """
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    a = np.ldexp(a, -squarings[:, None, None])
+    b = _PADE13
+    count, m, _ = a.shape
+    eye = np.eye(m)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    # p13(A) = V + U and q13(A) = V - U, V even and U odd in A
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    coupled = a.any(axis=1) | a.any(axis=2)
+    v.reshape(count, m * m)[:, ::m + 1] += np.where(coupled, b[0], 1.0)
+    x = np.linalg.solve(v - u, v + u)
+    for k in range(squarings.max(initial=0)):
+        left = squarings > k
+        x[left] = x[left] @ x[left]
+    return x
+
+
+@lru_cache(maxsize=None)
+def _ladder_stacks(d: int, conserved: str):
+    """Unit-coupling sector generators, zero-padded into a few stacks.
+
+    Returns (positions, stack) pairs: ``stack[j]`` holds, in its leading
+    corner, the generator of sector ``sectors(d, conserved)[positions[j]]``
+    at coupling 1, and zeros elsewhere; sectors are grouped by their size
+    rounded up to a multiple of ``_STACK_STEP``. Within a sector, ordered by
+    ascending n1, the generator links only neighbouring states, so each
+    generator is tridiagonal and antisymmetric: superdiagonal
+    sqrt(m1 m2), subdiagonal its negative. sqrt(m1 m2) is the ladder
+    amplitude between neighbours j and j + 1. In a TOTAL sector j + 1 holds
+    one photon more in mode 1 and one fewer in mode 2, so m1 is n1 of j + 1
+    and m2 is n2 of j; in a DIFFERENCE sector j + 1 holds one more in each
+    mode, so both are read off j + 1, and the sectors n1 - n2 = k and -k,
+    which swap the two modes, hold the same generator: only the d sectors
+    with k >= 0 are stacked.
+    """
+    every = sectors(d, conserved)
+    positions = range(len(every)) if conserved == TOTAL else range(d - 1, 2 * d - 1)
+    padded = {}
+    for p in positions:
+        padded.setdefault(-(-len(every[p]) // _STACK_STEP) * _STACK_STEP, []).append(p)
+    out = []
+    for m, group in sorted(padded.items()):
+        stack = np.zeros((len(group), m, m))
+        for j, p in enumerate(group):
+            n1, n2 = np.divmod(every[p], d)
+            ladder = n2[:-1] if conserved == TOTAL else n2[1:]
+            upper = np.sqrt(n1[1:] * ladder)
+            step = np.arange(len(upper))
+            stack[j, step, step + 1] = upper
+            stack[j, step + 1, step] = -upper
+        stack.flags.writeable = False
+        out.append((tuple(group), stack))
+    return tuple(out)
 
 
 def _sector_unitaries(d: int, conserved: str, coupling: float):
-    """Real orthogonal expm of each sector block of a truncated generator.
+    """(real orthogonal exp of each sector block, the exponentiated stacks).
 
-    Within a sector, ordered by ascending n1, the generator links only
-    neighbouring states, so each block is tridiagonal and antisymmetric:
-    superdiagonal ``coupling * sqrt(m1 m2)``, subdiagonal its negative.
-    sqrt(m1 m2) is the ladder amplitude between neighbours j and j + 1. In
-    a TOTAL sector j + 1 holds one photon more in mode 1 and one fewer in
-    mode 2, so m1 is n1 of j + 1 and m2 is n2 of j; in a DIFFERENCE sector
-    j + 1 holds one more in each mode, so both are read off j + 1, and the
-    sectors n1 - n2 = k and -k, which swap the two modes, hold the same
-    block: only the d sectors with k >= 0 are exponentiated. The
-    exponential is taken in complex arithmetic, whose imaginary part is
-    exactly zero here: scipy's real-dtype expm is about ten times less
-    accurate on these blocks.
+    The generator is ``coupling`` times the unit-coupling stacks of
+    ``_ladder_stacks``; each stack is exponentiated in one real pass of
+    ``_expm_stack`` and the blocks are its leading corners. The zero pad
+    exponentiates to exactly the identity, with exactly zero off-diagonal
+    blocks: every power of the slice is zero on the pad rows and columns,
+    so V - U and V + U hold exactly the identity there (see
+    ``_expm_stack``); partial pivoting never picks a pad row, which is zero
+    in every block column, a unit pivot divides exactly, and squaring keeps
+    the identity. A DIFFERENCE sector n1 - n2 = -k reuses the block of k.
     """
-    def block(idx):
-        n1, n2 = np.divmod(idx, d)
-        ladder = n2[:-1] if conserved == TOTAL else n2[1:]
-        upper = coupling * np.sqrt(n1[1:] * ladder)
-        generator = np.diag(upper, 1) - np.diag(upper, -1)
-        return expm(generator.astype(complex)).real
-
-    if conserved == TOTAL:
-        return tuple(block(idx) for idx in sectors(d, conserved))
-    # sectors k = 0, ..., d - 1 sit at positions d - 1 + k
-    mirrored = [block(idx) for idx in sectors(d, conserved)[d - 1:]]
-    return tuple(mirrored[:0:-1] + mirrored)
+    every = sectors(d, conserved)
+    blocks = [None] * len(every)
+    stacks = []
+    for group, unit in _ladder_stacks(d, conserved):
+        x = _expm_stack(coupling * unit)
+        stacks.append(x)
+        for j, p in enumerate(group):
+            size = len(every[p])
+            blocks[p] = x[j, :size, :size]
+    if conserved == DIFFERENCE:
+        # sectors k = 0, ..., d - 1 sit at positions d - 1 + k
+        blocks[:d - 1] = blocks[:d - 1:-1]
+    return tuple(blocks), stacks
 
 
 def _assemble(pieces, dim: int) -> np.ndarray:
@@ -224,7 +312,7 @@ def _bs_blocks(theta: float, phi: float, d: int):
     MtsParams(0.0, 0.0, theta, phi)  # range validation
     # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2);
     # its phase is gauged out as psi = phi
-    return _sector_unitaries(d, TOTAL, 0.5 * theta)
+    return _sector_unitaries(d, TOTAL, 0.5 * theta)[0]
 
 
 def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
@@ -233,10 +321,11 @@ def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
         raise ValidationError("max_defect must be a non-negative number")
     # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2);
     # its phase is gauged out as psi = -phi
-    blocks = _sector_unitaries(d, DIFFERENCE, -r)
+    blocks, stacks = _sector_unitaries(d, DIFFERENCE, -r)
     # O is block-diagonal, so its defect is the largest block defect; the
-    # blocks of n1 - n2 < 0 repeat those of n1 - n2 > 0
-    defect = max(unitarity_defect(o) for o in blocks[d - 1:])
+    # blocks of n1 - n2 < 0 repeat those of n1 - n2 > 0, and the stacks hold
+    # the blocks of n1 - n2 >= 0 plus exact identity pads, which add nothing
+    defect = max(unitarity_defect(x) for x in stacks)
     if defect > max_defect:
         raise TruncationError(
             f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
@@ -480,6 +569,6 @@ def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,
     if not (1 <= n_terms < math.inf and int(n_terms) == n_terms):
         raise ValidationError("n_terms must be a positive integer")
     n_terms = int(n_terms)
-    s1 = np.sqrt(thermal_weights(n1a, n_terms) * thermal_weights(n1b, n_terms)).sum()
-    s2 = np.sqrt(thermal_weights(n2a, n_terms) * thermal_weights(n2b, n_terms)).sum()
+    s1 = np.sqrt(_thermal_weights(n1a, n_terms) * _thermal_weights(n1b, n_terms)).sum()
+    s2 = np.sqrt(_thermal_weights(n2a, n_terms) * _thermal_weights(n2b, n_terms)).sum()
     return float((s1 * s2) ** 2)

@@ -3,12 +3,19 @@
 The spec-level agreement runs (d = 25 and d = 40, ten pairs each) live in
 the acceptance suite; here the operations are checked at small
 truncations, and the sector blocks against the dense truncated generator.
+That reference is built from kron products of the one-mode ladder
+operator and exponentiated by scipy's complex expm, so it shares no code
+with the library's batched real Pade kernel. At d = 40 every block is
+checked against scipy's complex expm, and two against 40-digit mpmath, of
+the library's own float64 sector generator, itself checked against the
+kron-built one.
 """
 
 import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -87,6 +94,12 @@ class TestThermalDm:
         with pytest.raises(ValidationError, match="integer of at least 2"):
             fock.thermal_dm(0.3, 0.2, d, max_deficit=1.0)
 
+    def test_weights_helper_is_private(self):
+        # the geometric weights checked neither occupancy nor truncation:
+        # (0.5, 2.5) gave three weights, NaN a NaN array, n = -1 a bare math
+        # ValueError; only the validating entry points above reach them now
+        assert not hasattr(fock, "thermal_weights")
+
     @pytest.mark.parametrize("d", [np.int64(12), 12.0], ids=["numpy_int", "float"])
     def test_accepts_integer_valued_truncation(self, d):
         point = FamilyPoint.sts(0.3, 0.2, 0.4, 0.1)
@@ -107,6 +120,38 @@ def dense_generator(device, x, phi, d):
         return (x / 2.0) * (np.exp(1j * phi) * (a1 @ a2.T)
                             - np.exp(-1j * phi) * (a1.T @ a2))
     return x * (np.exp(1j * phi) * (a1.T @ a2.T) - np.exp(-1j * phi) * (a1 @ a2))
+
+
+def kron_generator(device, x, d):
+    """The phase-free generator of ``dense_generator``, from kron products
+    of the one-mode lowering operator alone (no D x D matrix product), so
+    that it stays cheap at d = 40."""
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    if device == "bs":
+        return (x / 2.0) * (np.kron(a, a.T) - np.kron(a.T, a))
+    return x * (np.kron(a.T, a.T) - np.kron(a, a))
+
+
+def exponentiated_generators(device, x, d):
+    """(library block, its float64 generator, kron-built sector block) for
+    each sector the library exponentiates at phase 0, where U = O. The
+    generator is read off the library's unit-coupling stacks; it differs
+    from the kron-built one only in rounding sqrt(m1 m2) instead of
+    sqrt(m1) sqrt(m2). The squeezer's sectors n1 - n2 < 0 reuse the blocks
+    of n1 - n2 > 0 (see the mirror test)."""
+    if device == "bs":
+        conserved, coupling = fock.TOTAL, 0.5 * x
+        blocks = fock._bs_blocks(x, 0.0, d)
+    else:
+        conserved, coupling = fock.DIFFERENCE, -x
+        blocks = fock._sq_blocks(x, 0.0, d, 1.0)
+    every = fock.sectors(d, conserved)
+    kron = kron_generator(device, x, d)
+    for positions, unit in fock._ladder_stacks(d, conserved):
+        for j, p in enumerate(positions):
+            idx = every[p]
+            n = len(idx)
+            yield blocks[p], coupling * unit[j, :n, :n], kron[np.ix_(idx, idx)]
 
 
 class TestSectors:
@@ -189,6 +234,60 @@ class TestBlockedUnitaries:
         assert len(blocks) == 2 * d - 1
         for k in range(1, d):
             assert np.array_equal(blocks[d - 1 - k], blocks[d - 1 + k])
+
+    @pytest.mark.parametrize("device", ["bs", "sq"])
+    def test_kron_generator_is_the_dense_generator(self, device):
+        dense = dense_generator(device, 0.7, 0.0, 6)
+        assert not dense.imag.any()
+        assert np.array_equal(kron_generator(device, 0.7, 6), dense.real)
+
+    @pytest.mark.parametrize("device, x", [("bs", 3.1), ("sq", 8.0)])
+    def test_padded_stacks_exponentiate_exactly(self, device, x):
+        # 0 to 7 squarings per slice and pads of 0 to 7 indices: every pad is
+        # exactly the identity and every off-diagonal block exactly zero
+        d = 40
+        conserved = fock.TOTAL if device == "bs" else fock.DIFFERENCE
+        coupling = 0.5 * x if device == "bs" else -x
+        every = fock.sectors(d, conserved)
+        stacks = fock._sector_unitaries(d, conserved, coupling)[1]
+        layout = fock._ladder_stacks(d, conserved)
+        assert len(stacks) == len(layout) == 5
+        for (positions, _), stack in zip(layout, stacks):
+            pad = np.eye(stack.shape[1])
+            for j, p in enumerate(positions):
+                n = len(every[p])
+                assert np.array_equal(stack[j, n:, n:], pad[n:, n:])
+                assert not stack[j, :n, n:].any() and not stack[j, n:, :n].any()
+
+    @pytest.mark.parametrize("device, x", [("bs", 0.3), ("bs", 1.6), ("bs", 3.1),
+                                           ("sq", 0.05), ("sq", 0.4), ("sq", 1.2),
+                                           ("sq", 8.0)])
+    def test_blocks_match_complex_expm(self, device, x):
+        for block, generator, kron in exponentiated_generators(device, x, 40):
+            np.testing.assert_allclose(generator, kron, rtol=1e-15, atol=0.0)
+            reference = expm(generator.astype(complex)).real
+            assert np.abs(block - reference).max() <= 2e-14
+            assert fock.unitarity_defect(block) <= 5e-14
+
+    @pytest.mark.parametrize("device, x", [("bs", 3.1), ("sq", 8.0)])
+    def test_block_matches_high_precision_expm(self, device, x):
+        block, generator, _ = next(b for b in exponentiated_generators(device, x, 40)
+                                   if len(b[0]) == 20)
+        with mpmath.workdps(40):
+            reference = np.array(mpmath.expm(mpmath.matrix(generator.tolist())).tolist(),
+                                 dtype=float)
+        assert np.abs(block - reference).max() <= 2e-14
+
+    @pytest.mark.parametrize("r", [0.4, 8.0])
+    def test_defect_guard_takes_largest_block_defect(self, r):
+        # the guard reads the defect off the padded stacks in one product each;
+        # it must be the largest defect of the blocks themselves
+        d = 40
+        blocks = fock._sq_blocks(r, 0.3, d, 1.0)
+        defect = max(fock.unitarity_defect(o) for o in blocks)
+        assert fock._sq_blocks(r, 0.3, d, defect) is not None
+        with pytest.raises(TruncationError):
+            fock._sq_blocks(r, 0.3, d, float(np.nextafter(defect, 0.0)))
 
     @pytest.mark.parametrize("helper", [fock.bs_unitary, fock.sq_unitary], ids=["bs", "sq"])
     @pytest.mark.parametrize("d", [1, 2.5, math.inf, math.nan])
