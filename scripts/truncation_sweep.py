@@ -15,6 +15,7 @@ import sys
 import time
 
 from gaussfisher import closed_form, fock
+from gaussfisher.errors import ValidationError
 from gaussfisher.states import FamilyPoint
 
 
@@ -32,12 +33,28 @@ def sweep(label, a, b, truncations):
               f"{time.monotonic() - start:>8.2f}")
 
 
-def main() -> int:
+def parse_truncations(raw: str) -> list[int]:
+    """The per-mode dimensions of ``--truncations``: integers of at least 2."""
+    try:
+        truncations = [int(v) for v in raw.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--truncations must be comma-separated integers, got {raw!r}") from None
+    if min(truncations) < 2:
+        raise ValidationError(f"--truncations must be at least 2 each, got {raw!r}")
+    return truncations
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--truncations", default="6,10,16,24,32",
-                        help="comma-separated per-mode dimensions")
-    args = parser.parse_args()
-    truncations = [int(v) for v in args.truncations.split(",")]
+                        help="comma-separated per-mode dimensions, each at least 2")
+    args = parser.parse_args(argv)
+    try:
+        truncations = parse_truncations(args.truncations)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     sweep("mode-mixed pair",
           FamilyPoint.mts(0.40, 0.20, 1.30, 0.60),

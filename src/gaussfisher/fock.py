@@ -7,10 +7,7 @@ squeezer n1 - n2. Grouping the flat indices by that number splits the
 truncated space into 2d - 1 sectors of sizes 1, 2, ..., d, ..., 2, 1. The
 truncated generator couples only neighbouring states of one sector, so it
 is a direct sum of tridiagonal sector blocks; the squeezer's sectors
-n1 - n2 = k and -k swap the two modes and share one block. A state is held
-as its thermal spectrum plus those unitary sector blocks, never as a dense
-D x D density matrix; Uhlmann fidelities and overlaps are taken sector by
-sector.
+n1 - n2 = k and -k swap the two modes and share one block.
 
 All couplings of one generator share one phase, and n1 rises by one per
 step within every sector, so each device unitary is U = P O P^dag with a
@@ -20,16 +17,26 @@ with a real coupling. The blocks are zero-padded into a few stacks of
 equal size, and each stack is exponentiated in one batched real pass:
 scaling and squaring with the degree-13 Pade approximant (Higham 2005),
 each block scaled by its own power of two. The pad exponentiates to
-exactly the identity and leaks into no block, so each block is read off
-the leading corner of its slice.
+exactly the identity and leaks into no block. A state is held as its
+thermal spectrum plus those exponentiated stacks, never as a dense
+D x D density matrix, and every operation reads the stacks whole: a table
+per (d, conserved) maps each slice to its sector's flat indices, and each
+pad to a sentinel index whose weight is zero; the squeezer's slice k
+serves the sectors +k and -k through two tables. A thermal state reads
+as identity stacks, on either sectoring.
 
 Diagonal factors commute with the thermal spectra and drop out of every
-trace norm and |.|^2 the oracle takes. For a mode-mixed x
-squeezed pair the relative phase exp(-i (psi_b - psi_a) n1) splits into a
-factor constant on each mixer sector (in n1 + n2) and one constant on each
-squeezer sector (in n1 - n2); each commutes past its own device's O and
-drops as well, so that pair's products and singular value decompositions
-are real.
+trace norm and |.|^2 the oracle takes. For a pair on one sectoring, Ua^dag
+Ub leaves the middle product Oa^T diag(exp(-i (psi_b - psi_a) n1)) Ob;
+within a sector n1 is its first value plus the position j in the slice,
+and the constant factor drops, so each stack gives one batched product
+Xa^T diag(exp(-i (psi_b - psi_a) j)) Xb of the two states' stacks, taken
+as two real products (one when the phases agree or a state is thermal),
+and the sectors +k and -k share it. For a mode-mixed x squeezed pair the
+relative phase exp(-i (psi_b - psi_a) n1) splits into a factor constant on
+each mixer sector (in n1 + n2) and one constant on each squeezer sector
+(in n1 - n2); each commutes past its own device's O and drops as well, so
+that pair's products and singular value decompositions are real.
 
 A mode-mixed x squeezed pair shares no sectoring, but a mixer sector
 (fixed T = n1 + n2) and a squeezer sector (fixed K = n1 - n2) share at
@@ -42,23 +49,25 @@ keep the parity of n1 + n2 (the mixer keeps n1 + n2, the squeezer
 changes it by 2), so the product splits into the two parity classes, of
 ceil(D/2) and floor(D/2) indices, and the fidelity takes one singular
 value decomposition per class. The same identity gives the squared
-entries as (Oa o Oa)^T (Ob o Ob), o the elementwise product, so the
-squared row norms of the weighted product M = sqrt(Wa) (Oa^T Ob) sqrt(Wb)
-are wa o ((Oa o Oa)^T ((Ob o Ob) wb)) and its column norms likewise:
-sector-block work, O(d^3), with no product formed. Their sum is the
-overlap Tr(rho_a rho_b).
+entries as (Oa o Oa)^T (Ob o Ob), o the elementwise product.
 
-The thermal weights decay geometrically, so most of M lies below
-roundoff. Each class drops the lightest rows of M while their 2-norms sum
-to at most u ||M||_F / 2, u = 2^-53 the unit roundoff, then the lightest
-columns of what remains under the same budget, all read off those norms;
-only the kept block of Oa^T Ob is gathered, one product per entry, and
-decomposed. Removing rows or columns raises no singular value
+Either way the squared row norms of the weighted product
+M = sqrt(Wa) (Oa^T Ob) sqrt(Wb), phases included, are wa o (S wb), S the
+squared moduli of the product (or (Oa o Oa)^T (Ob o Ob)), and its column
+norms likewise; their sum is the overlap Tr(rho_a rho_b). The thermal
+weights decay geometrically, so most of M lies below roundoff. The
+pruning drops the lightest rows of M while their 2-norms sum to at most
+u ||M||_F / 2, u = 2^-53 the unit roundoff, then the lightest columns of
+what remains under the same budget, all read off those norms; a
+mode-mixed x squeezed pair does so per parity class, a pair on one
+sectoring over all its sectors at once. Only the kept rows and columns
+are gathered and decomposed: per class, or per stack as one batch of
+sector blocks. Removing rows or columns raises no singular value
 (interlacing) and, by the triangle inequality, lowers the trace norm by
 at most the trace norm of what is removed; a removed row or column has
 rank one, so its trace norm is its 2-norm; and ||M||_1 >= ||M||_F. So
-each class's trace norm moves by at most u ||M||_1. The budget is fixed
-by u and is not an option; the overlap is not pruned.
+the trace norm moves by at most u ||M||_1. The budget is fixed by u and
+is not an option; the overlap is not pruned.
 
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
@@ -85,25 +94,29 @@ DIFFERENCE = "n1-n2"  # conserved by the two-mode squeezer
 PARITY = "(n1+n2)%2"  # conserved by both
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensity:
     """Truncated density matrix U diag(spectrum) U^dag, kept spectral.
 
-    U = P O P^dag, where O is the direct sum of the real orthogonal
-    ``blocks`` over ``sectors(d, conserved)`` and P = diag(exp(-i phase n1))
-    over the flat indices; U is the identity when ``blocks`` is None (a
-    thermal state). No dense D x D matrix is stored: fidelities and
-    overlaps are computed from the spectrum and the blocks, and a
-    mode-mixed x squeezed pair gathers at most one real block per parity
-    class of n1 + n2, of at most ceil(D/2) indices, since both device
-    phases drop out of its products.
+    U = P O P^dag, where O is the real orthogonal direct sum of the sector
+    blocks in ``stacks``, laid out by ``_stack_tables(d, conserved)``, and
+    P = diag(exp(-i phase n1)) over the flat indices; U is the identity
+    when ``stacks`` is None (a thermal state), which reads as identity
+    stacks on either sectoring. No dense D x D matrix is stored: fidelities
+    and overlaps are computed from the spectrum and the stacks, one batched
+    product per stack for a pair on one sectoring, and a mode-mixed x
+    squeezed pair gathers at most one real block per parity class of
+    n1 + n2, of at most ceil(D/2) indices, since both device phases drop
+    out of its products. Either way only the rows and columns that survive
+    the unit-roundoff pruning are decomposed. Records compare and hash by
+    identity.
     """
 
     d: int
     spectrum: np.ndarray
     trace_deficit: float
     conserved: str | None = None
-    blocks: tuple[np.ndarray, ...] | None = None
+    stacks: tuple[np.ndarray, ...] | None = None
     phase: float = 0.0
 
 
@@ -228,45 +241,87 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ladder_stacks(d: int, conserved: str):
-    """Unit-coupling sector generators, zero-padded into a few stacks.
+def _stack_tables(d: int, conserved: str) -> tuple[np.ndarray, ...]:
+    """Flat indices of the slices of each padded stack.
 
-    Returns (positions, stack) pairs: ``stack[j]`` holds, in its leading
-    corner, the generator of sector ``sectors(d, conserved)[positions[j]]``
-    at coupling 1, and zeros elsewhere; sectors are grouped by their size
-    rounded up to a multiple of ``_STACK_STEP``. Within a sector, ordered by
-    ascending n1, the generator links only neighbouring states, so each
-    generator is tridiagonal and antisymmetric: superdiagonal
-    sqrt(m1 m2), subdiagonal its negative. sqrt(m1 m2) is the ladder
-    amplitude between neighbours j and j + 1. In a TOTAL sector j + 1 holds
-    one photon more in mode 1 and one fewer in mode 2, so m1 is n1 of j + 1
-    and m2 is n2 of j; in a DIFFERENCE sector j + 1 holds one more in each
-    mode, so both are read off j + 1, and the sectors n1 - n2 = k and -k,
-    which swap the two modes, hold the same generator: only the d sectors
-    with k >= 0 are stacked.
+    One read-only (sides, slices, m) integer table per stack. The sectors
+    are grouped by their size rounded up to a multiple of ``_STACK_STEP``,
+    one stack per group, in ascending conserved number. Slice j of a stack
+    holds one sector's block in its leading corner, rows and columns in
+    ascending n1, and ``table[side, j]`` holds that sector's flat indices
+    there and the sentinel D = d^2 on the pad; every weight vector is read
+    with a zero appended at D. TOTAL stacks all 2d - 1 sectors, on one
+    side. The squeezer's sectors n1 - n2 = k and -k swap the two modes and
+    hold the same block, so DIFFERENCE stacks k = 0, ..., d - 1 on two
+    sides: side 0 maps slice k to the sector +k, side 1 to -k, and side 1
+    of k = 0 is all sentinel, so that the sector 0 is read once.
     """
-    every = sectors(d, conserved)
-    positions = range(len(every)) if conserved == TOTAL else range(d - 1, 2 * d - 1)
-    padded = {}
-    for p in positions:
-        padded.setdefault(-(-len(every[p]) // _STACK_STEP) * _STACK_STEP, []).append(p)
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    if conserved == TOTAL:
+        label, side = n1 + n2, np.zeros_like(n1)
+        size = d - np.abs(label - (d - 1))
+        position = n1 - np.maximum(label - (d - 1), 0)
+    else:
+        label, side = np.abs(n1 - n2), (n1 < n2).astype(n1.dtype)
+        size = d - label
+        position = np.minimum(n1, n2)
+    padded = -(-size // _STACK_STEP) * _STACK_STEP
     out = []
-    for m, group in sorted(padded.items()):
-        stack = np.zeros((len(group), m, m))
-        for j, p in enumerate(group):
-            n1, n2 = np.divmod(every[p], d)
-            ladder = n2[:-1] if conserved == TOTAL else n2[1:]
-            upper = np.sqrt(n1[1:] * ladder)
-            step = np.arange(len(upper))
-            stack[j, step, step + 1] = upper
-            stack[j, step + 1, step] = -upper
-        stack.flags.writeable = False
-        out.append((tuple(group), stack))
+    for m in np.unique(padded):
+        member = padded == m
+        labels = np.unique(label[member])
+        table = np.full((1 if conserved == TOTAL else 2, len(labels), m), d * d)
+        table[side[member], np.searchsorted(labels, label[member]),
+              position[member]] = np.flatnonzero(member)
+        table.flags.writeable = False
+        out.append(table)
     return tuple(out)
 
 
-def _sector_unitaries(d: int, conserved: str, coupling: float):
-    """(real orthogonal exp of each sector block, the exponentiated stacks).
+@lru_cache(maxsize=None)
+def _ladder_stacks(d: int, conserved: str) -> tuple[np.ndarray, ...]:
+    """Unit-coupling sector generators, zero-padded into the stacks of
+    ``_stack_tables``.
+
+    Within a sector, ordered by ascending n1, the generator links only
+    neighbouring states, so each generator is tridiagonal and
+    antisymmetric: superdiagonal sqrt(m1 m2), subdiagonal its negative.
+    sqrt(m1 m2) is the ladder amplitude between neighbours j and j + 1. In
+    a TOTAL sector j + 1 holds one photon more in mode 1 and one fewer in
+    mode 2, so m1 is n1 of j + 1 and m2 is n2 of j; in a DIFFERENCE sector
+    j + 1 holds one more in each mode, so both are read off j + 1. The pad
+    is zero.
+    """
+    out = []
+    for table in _stack_tables(d, conserved):
+        idx = table[0]
+        n1, n2 = np.divmod(idx, d)
+        ladder = n2[:, :-1] if conserved == TOTAL else n2[:, 1:]
+        upper = np.where(idx[:, 1:] < d * d, np.sqrt(n1[:, 1:] * ladder), 0.0)
+        step = np.arange(idx.shape[1] - 1)
+        stack = np.zeros(idx.shape + idx.shape[1:])
+        stack[:, step, step + 1] = upper
+        stack = stack - np.swapaxes(stack, 1, 2)
+        stack.flags.writeable = False
+        out.append(stack)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _identity_stacks(d: int, conserved: str) -> tuple[np.ndarray, ...]:
+    """Read-only identity stacks in the layout of ``_stack_tables``; a
+    thermal state's O on that sectoring."""
+    return tuple(np.broadcast_to(np.eye(t.shape[2]), t.shape[1:] + t.shape[2:])
+                 for t in _stack_tables(d, conserved))
+
+
+def _stacks(rho: FockDensity, conserved: str) -> tuple[np.ndarray, ...]:
+    """The exponentiated stacks of a state, identity stacks for a thermal one."""
+    return _identity_stacks(rho.d, conserved) if rho.stacks is None else rho.stacks
+
+
+def _sector_unitaries(d: int, conserved: str, coupling: float) -> tuple[np.ndarray, ...]:
+    """Real orthogonal exp of each sector block, as exponentiated stacks.
 
     The generator is ``coupling`` times the unit-coupling stacks of
     ``_ladder_stacks``; each stack is exponentiated in one real pass of
@@ -276,52 +331,40 @@ def _sector_unitaries(d: int, conserved: str, coupling: float):
     so V - U and V + U hold exactly the identity there (see
     ``_expm_stack``); partial pivoting never picks a pad row, which is zero
     in every block column, a unit pivot divides exactly, and squaring keeps
-    the identity. A DIFFERENCE sector n1 - n2 = -k reuses the block of k.
+    the identity.
     """
-    every = sectors(d, conserved)
-    blocks = [None] * len(every)
-    stacks = []
-    for group, unit in _ladder_stacks(d, conserved):
-        x = _expm_stack(coupling * unit)
-        stacks.append(x)
-        for j, p in enumerate(group):
-            size = len(every[p])
-            blocks[p] = x[j, :size, :size]
-    if conserved == DIFFERENCE:
-        # sectors k = 0, ..., d - 1 sit at positions d - 1 + k
-        blocks[:d - 1] = blocks[:d - 1:-1]
-    return tuple(blocks), stacks
+    return tuple(_expm_stack(coupling * unit) for unit in _ladder_stacks(d, conserved))
 
 
-def _assemble(pieces, dim: int) -> np.ndarray:
-    """Dense dim x dim matrix of a direct sum of (index set, block) pieces."""
-    out = np.zeros((dim, dim))
-    for idx, block in pieces:
-        out[np.ix_(idx, idx)] = block
-    return out
+def _assemble(d: int, conserved: str, stacks) -> np.ndarray:
+    """Dense D x D real O, the direct sum of the blocks in ``stacks``."""
+    out = np.zeros((d * d + 1, d * d + 1))
+    for table, x in zip(_stack_tables(d, conserved), stacks):
+        # pads land in the sentinel row and column, cut off below
+        out[table[..., :, None], table[..., None, :]] = x
+    return out[:-1, :-1]
 
 
-def _gauged(d: int, conserved: str, blocks, psi: float) -> np.ndarray:
+def _gauged(d: int, conserved: str, stacks, psi: float) -> np.ndarray:
     """Dense device unitary P O P^dag, P = diag(exp(-i psi n1))."""
     p = np.exp(-1j * psi * (np.arange(d * d) // d))
-    o = _assemble(zip(sectors(d, conserved), blocks), d * d)
-    return p[:, None] * o * p.conj()[None, :]
+    return p[:, None] * _assemble(d, conserved, stacks) * p.conj()[None, :]
 
 
-def _bs_blocks(theta: float, phi: float, d: int):
+def _bs_stacks(theta: float, phi: float, d: int):
     MtsParams(0.0, 0.0, theta, phi)  # range validation
     # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2);
     # its phase is gauged out as psi = phi
-    return _sector_unitaries(d, TOTAL, 0.5 * theta)[0]
+    return _sector_unitaries(d, TOTAL, 0.5 * theta)
 
 
-def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
+def _sq_stacks(r: float, phi: float, d: int, max_defect: float):
     StsParams(0.0, 0.0, r, phi)  # range validation
     if not max_defect >= 0.0:
         raise ValidationError("max_defect must be a non-negative number")
     # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2);
     # its phase is gauged out as psi = -phi
-    blocks, stacks = _sector_unitaries(d, DIFFERENCE, -r)
+    stacks = _sector_unitaries(d, DIFFERENCE, -r)
     # O is block-diagonal, so its defect is the largest block defect; the
     # blocks of n1 - n2 < 0 repeat those of n1 - n2 > 0, and the stacks hold
     # the blocks of n1 - n2 >= 0 plus exact identity pads, which add nothing
@@ -330,13 +373,13 @@ def _sq_blocks(r: float, phi: float, d: int, max_defect: float):
         raise TruncationError(
             f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
         )
-    return blocks
+    return stacks
 
 
 def bs_unitary(theta: float, phi: float, d: int) -> np.ndarray:
     """Mode-mixing unitary on the truncated two-mode Fock space."""
     d = _check_truncation(d)
-    return _gauged(d, TOTAL, _bs_blocks(theta, phi, d), phi)
+    return _gauged(d, TOTAL, _bs_stacks(theta, phi, d), phi)
 
 
 def sq_unitary(r: float, phi: float, d: int,
@@ -350,7 +393,7 @@ def sq_unitary(r: float, phi: float, d: int,
     far from the truncation boundary.
     """
     d = _check_truncation(d)
-    return _gauged(d, DIFFERENCE, _sq_blocks(r, phi, d, max_defect), -phi)
+    return _gauged(d, DIFFERENCE, _sq_stacks(r, phi, d, max_defect), -phi)
 
 
 def family_dm(point: FamilyPoint, d: int,
@@ -361,52 +404,41 @@ def family_dm(point: FamilyPoint, d: int,
         return thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
     d, w, thermal_deficit = _thermal_spectrum(p.n1, p.n2, d, max_deficit)
     if point.tag == MTS:
-        conserved, blocks, psi = TOTAL, _bs_blocks(p.theta, p.phi, d), p.phi
+        conserved, stacks, psi = TOTAL, _bs_stacks(p.theta, p.phi, d), p.phi
     else:
-        conserved, blocks = DIFFERENCE, _sq_blocks(p.r, p.phi, d, DEFAULT_MAX_DEFECT)
+        conserved, stacks = DIFFERENCE, _sq_stacks(p.r, p.phi, d, DEFAULT_MAX_DEFECT)
         psi = -p.phi
     # conjugation preserves the trace; the honest deficit is the thermal one.
-    # Tr(U W U^dag) = sum over blocks of the column norms |O_B|^2 weighted by w
-    trace = sum((o ** 2).sum(axis=0) @ w[idx]
-                for idx, o in zip(sectors(d, conserved), blocks))
-    deficit = max(1.0 - float(trace), thermal_deficit)
+    # Tr(U W U^dag) sums the squared column norms of O weighted by w, one
+    # reduction per stack; the pads read the zero weight of the sentinel
+    w_pad = np.append(w, 0.0)
+    trace = sum(float(((x * x).sum(axis=1) * w_pad[table]).sum())
+                for table, x in zip(_stack_tables(d, conserved), stacks))
+    deficit = max(1.0 - trace, thermal_deficit)
     return FockDensity(d=d, spectrum=w, trace_deficit=deficit,
-                       conserved=conserved, blocks=blocks, phase=psi)
+                       conserved=conserved, stacks=stacks, phase=psi)
 
 
 def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
     """(row indices, column indices, block) of Ua^dag Ub, up to outer
-    diagonal phases, for each piece of a pair's product.
+    diagonal phases, for each piece of a pair's product that survives the
+    unit-roundoff pruning of M = sqrt(Wa) (Ua^dag Ub) sqrt(Wb).
 
     Ua^dag Ub = Pa (Oa^T Pa^dag Pb Ob) Pb^dag, and the outer Pa, Pb^dag
     commute with the spectra, so only the middle product is formed. States
-    that share a sectoring give one piece per sector, with rows = cols = the
-    sector; a state without blocks is diagonal in the Fock basis and fits
-    either sectoring. A mode-mixed x squeezed pair shares neither, but each
-    of its sectors lies inside one parity class of n1 + n2, so it gives one
-    real piece of Oa^T Ob per parity class (the relative phase commutes
-    outward, see the module notes). A mixer sector and a squeezer sector
-    share at most one flat index, so every entry of Oa^T Ob is a single
-    product Oa[m, i] Ob[m, j] (see ``_cross_entries``). Of each class only
-    the rows and columns that survive the unit-roundoff pruning of
-    sqrt(Wa) (Oa^T Ob) sqrt(Wb) are kept, chosen from norms taken sector
-    block by sector block (see the module notes), and only the kept block
-    is formed; a class that is exactly zero there is dropped whole.
+    that share a sectoring give one piece per stack: a batch of sector
+    blocks, each cut to its kept rows and columns, whose index arrays hold
+    the sentinel D = d^2 (weight zero) where a sector keeps fewer than the
+    batch (``_sector_blocks``); a thermal state fits either sectoring. A
+    mode-mixed x squeezed pair shares neither, but each of its sectors lies
+    inside one parity class of n1 + n2, so it gives one real piece of
+    Oa^T Ob per parity class (``_cross_blocks``; the relative phase
+    commutes outward, see the module notes). Rows and columns are chosen
+    from norms taken from the stacks, and only the kept blocks are formed.
     """
     if _is_cross(rho_a, rho_b):
-        yield from _cross_blocks(rho_a, rho_b)
-        return
-    d = rho_a.d
-    conserved = rho_a.conserved or rho_b.conserved or TOTAL
-    # a state without blocks is diagonal, so the other's phase drops as well
-    both = rho_a.blocks is not None and rho_b.blocks is not None
-    shift = rho_b.phase - rho_a.phase if both else 0.0
-    for idx, oa, ob in zip(sectors(d, conserved),
-                           _orthogonal_blocks(rho_a, conserved),
-                           _orthogonal_blocks(rho_b, conserved)):
-        if shift:
-            ob = np.exp(-1j * shift * (idx // d))[:, None] * ob
-        yield idx, idx, oa.T @ ob
+        return _cross_blocks(rho_a, rho_b)
+    return _sector_blocks(rho_a, rho_b)
 
 
 def _is_cross(rho_a: FockDensity, rho_b: FockDensity) -> bool:
@@ -416,14 +448,94 @@ def _is_cross(rho_a: FockDensity, rho_b: FockDensity) -> bool:
     return len({rho_a.conserved, rho_b.conserved} - {None}) > 1
 
 
-def _squares_times(rho: FockDensity, v: np.ndarray, transpose: bool = False):
-    """(O o O) v, or (O o O)^T v, over the flat indices, sector by sector;
-    o is the elementwise product."""
+def _stack_times(tables, squares, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """S v, or S^T v, over the flat indices, S the direct sum of the sector
+    blocks in the stacks ``squares`` laid out by ``tables``: one batched
+    product per stack. v is read with a zero appended at the sentinel, so
+    the pads add nothing."""
+    v = np.append(v, 0.0)
     out = np.empty_like(v)
-    for idx, o in zip(sectors(rho.d, rho.conserved), rho.blocks):
-        sq = o * o
-        out[idx] = (sq.T if transpose else sq) @ v[idx]
-    return out
+    for table, sq in zip(tables, squares):
+        if transpose:
+            sq = np.swapaxes(sq, 1, 2)
+        out[table] = (sq @ v[table][..., None])[..., 0]
+    return out[:-1]
+
+
+def _squares_times(rho: FockDensity, v: np.ndarray, transpose: bool = False):
+    """(O o O) v, or (O o O)^T v, over the flat indices, one stack at a
+    time; o is the elementwise product."""
+    return _stack_times(_stack_tables(rho.d, rho.conserved), [x * x for x in rho.stacks],
+                        v, transpose)
+
+
+def _sector_products(rho_a: FockDensity, rho_b: FockDensity):
+    """(tables, products, squared moduli) of a pair on one sectoring.
+
+    Per stack the product Xa^T diag(exp(-i shift j)) Xb of the two states'
+    stacks, j the position in the slice and shift = psi_b - psi_a (see the
+    module notes), held as its real part, or as its real part and the real
+    product Xa^T diag(sin(shift j)) Xb, which is minus its imaginary part.
+    A thermal state reads as identity stacks, and the phase of its partner
+    drops with it. Slice k of a squeezer stack serves the sectors +k and
+    -k through the two sides of its table.
+    """
+    conserved = rho_a.conserved or rho_b.conserved or TOTAL
+    # a state without stacks is diagonal, so the other's phase drops as well
+    both = rho_a.stacks is not None and rho_b.stacks is not None
+    shift = rho_b.phase - rho_a.phase if both else 0.0
+    products = []
+    for xa, xb in zip(_stacks(rho_a, conserved), _stacks(rho_b, conserved)):
+        xat = np.swapaxes(xa, 1, 2)
+        if shift:
+            j = shift * np.arange(xb.shape[1])[:, None]
+            products.append((xat @ (np.cos(j) * xb), xat @ (np.sin(j) * xb)))
+        else:
+            products.append((xat @ xb,))
+    squares = [sum(part * part for part in parts) for parts in products]
+    return _stack_tables(rho_a.d, conserved), products, squares
+
+
+def _sector_blocks(rho_a: FockDensity, rho_b: FockDensity):
+    """The pruned pieces of a pair on one sectoring, one batch per stack.
+
+    The squared row norms of M are wa o (S wb), S the squared moduli of the
+    stack products, and its column norms over the kept rows likewise; the
+    pruning runs over all sectors at once (``_kept``). Each stack's live
+    sectors, those that keep a row and a column, are cut to their kept rows
+    and columns, moved to the front, and padded with the sentinel to the
+    longest kept count of the stack.
+    """
+    d = rho_a.d
+    tables, products, squares = _sector_products(rho_a, rho_b)
+    wa, wb = rho_a.spectrum, rho_b.spectrum
+    (rows,), (cols,) = _kept(wa * _stack_times(tables, squares, wb),
+                             lambda kept_wa: wb * _stack_times(tables, squares, kept_wa,
+                                                               transpose=True),
+                             wa, (np.arange(d * d),))
+    kept_rows, kept_cols = np.zeros((2, d * d + 1), dtype=bool)
+    kept_rows[rows] = kept_cols[cols] = True
+    for table, parts in zip(tables, products):
+        live = kept_rows[table].any(axis=2) & kept_cols[table].any(axis=2)
+        if not live.any():
+            continue
+        idx = table[live]
+        (row_at, row_idx), (col_at, col_idx) = (_kept_first(kept[idx], idx, d * d)
+                                                for kept in (kept_rows, kept_cols))
+        gather = np.nonzero(live)[1][:, None, None], row_at[:, :, None], col_at[:, None, :]
+        block = parts[0][gather]
+        if len(parts) > 1:
+            block = block - 1j * parts[1][gather]
+        yield row_idx, col_idx, block
+
+
+def _kept_first(kept: np.ndarray, idx: np.ndarray, sentinel: int):
+    """(positions, flat indices) of each row's kept entries, moved to the
+    front in ascending position and padded to the longest kept count with
+    dropped positions, whose index is the sentinel."""
+    at = np.argsort(~kept, axis=1, kind="stable")[:, :kept.sum(axis=1).max()]
+    return at, np.where(np.take_along_axis(kept, at, axis=1),
+                        np.take_along_axis(idx, at, axis=1), sentinel)
 
 
 def _cross_row_norms(rho_a: FockDensity, rho_b: FockDensity,
@@ -433,9 +545,9 @@ def _cross_row_norms(rho_a: FockDensity, rho_b: FockDensity,
 
     Every entry of Oa^T Ob is one product Oa[m, i] Ob[m, j], so its square
     is that of (Oa o Oa)^T (Ob o Ob), o the elementwise product, and the
-    row norms are wa o ((Oa o Oa)^T ((Ob o Ob) wb)): sector-block work
-    only, no product is formed. The column norms are the row norms of the
-    swapped pair.
+    row norms are wa o ((Oa o Oa)^T ((Ob o Ob) wb)): stack work only, no
+    product is formed. The column norms are the row norms of the swapped
+    pair.
     """
     return wa * _squares_times(rho_a, _squares_times(rho_b, wb), transpose=True)
 
@@ -443,22 +555,37 @@ def _cross_row_norms(rho_a: FockDensity, rho_b: FockDensity,
 def _cross_blocks(rho_a: FockDensity, rho_b: FockDensity):
     """The pruned parity-class pieces of a mode-mixed x squeezed pair."""
     wa, wb = rho_a.spectrum, rho_b.spectrum
-    row_sq = _cross_row_norms(rho_a, rho_b, wa, wb)
-    classes = sectors(rho_a.d, PARITY)
-    budgets = [0.5 * UNIT_ROUNDOFF * math.sqrt(row_sq[idx].sum()) for idx in classes]
-    kept_rows = [idx[_heavy(np.sqrt(row_sq[idx]), budget)]
-                 for idx, budget in zip(classes, budgets)]
-    # column norms over the kept rows only: wa is zeroed on the others;
-    # the two classes do not mix, so both are taken at once
-    kept_wa = np.zeros_like(wa)
-    for rows in kept_rows:
-        kept_wa[rows] = wa[rows]
-    col_sq = _cross_row_norms(rho_b, rho_a, wb, kept_wa)
+    kept_rows, kept_cols = _kept(_cross_row_norms(rho_a, rho_b, wa, wb),
+                                 lambda kept_wa: _cross_row_norms(rho_b, rho_a, wb, kept_wa),
+                                 wa, sectors(rho_a.d, PARITY))
     columns_a, columns_b = _columns_by_n1(rho_a), _columns_by_n1(rho_b)
-    for idx, budget, rows in zip(classes, budgets, kept_rows):
+    for rows, cols in zip(kept_rows, kept_cols):
         if rows.size:
-            cols = idx[_heavy(np.sqrt(col_sq[idx]), budget)]
             yield rows, cols, _cross_entries(columns_a, columns_b, rows, cols)
+
+
+def _kept(row_sq: np.ndarray, column_sq, wa: np.ndarray, classes):
+    """(kept rows, kept columns) of each class of flat indices of
+    M = sqrt(Wa) (middle product) sqrt(Wb).
+
+    ``row_sq`` holds the squared row 2-norms of M, and ``column_sq(v)`` its
+    squared column norms with the row weights wa replaced by v. Each class
+    drops its lightest rows while their 2-norms sum to at most
+    u ||M_class||_F / 2; then, with wa zeroed off the kept rows of every
+    class (classes do not mix), its lightest columns under the same
+    budget. Every class's trace norm moves by at most u ||M_class||_1 (see
+    the module notes).
+    """
+    budgets = [0.5 * UNIT_ROUNDOFF * math.sqrt(row_sq[idx].sum()) for idx in classes]
+    rows = [idx[_heavy(np.sqrt(row_sq[idx]), budget)]
+            for idx, budget in zip(classes, budgets)]
+    kept_wa = np.zeros_like(wa)
+    for idx in rows:
+        kept_wa[idx] = wa[idx]
+    col_sq = column_sq(kept_wa)
+    cols = [idx[_heavy(np.sqrt(col_sq[idx]), budget)]
+            for idx, budget in zip(classes, budgets)]
+    return rows, cols
 
 
 def _columns_by_n1(rho: FockDensity):
@@ -470,11 +597,14 @@ def _columns_by_n1(rho: FockDensity):
     """
     d = rho.d
     n1, n2 = np.divmod(np.arange(d * d), d)
-    table = np.zeros((d * d, d + 1))
-    for idx, o in zip(sectors(d, rho.conserved), rho.blocks):
-        first = idx[0] // d  # n1 ascends by one within a sector
-        table[idx, first:first + len(idx)] = o.T
-    return (n1 + n2 if rho.conserved == TOTAL else n1 - n2), table
+    table = np.zeros((d * d + 1, d + 1))
+    for idx, x in zip(_stack_tables(d, rho.conserved), rho.stacks):
+        # row i of a slice has n1 = (n1 of its first index) + i; pad rows
+        # hold zero in real columns and go to the last column, pad columns
+        # to the sentinel row, which is cut off below
+        at = np.minimum(idx[..., :1] // d + np.arange(idx.shape[2]), d)
+        table[idx[..., None, :], at[..., :, None]] = x
+    return (n1 + n2 if rho.conserved == TOTAL else n1 - n2), table[:-1]
 
 
 def _cross_entries(columns_a, columns_b, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -505,12 +635,6 @@ def _heavy(norms: np.ndarray, budget: float) -> np.ndarray:
     return np.sort(order[light:])
 
 
-def _orthogonal_blocks(rho: FockDensity, conserved: str):
-    if rho.blocks is not None:
-        return rho.blocks
-    return [np.eye(len(idx)) for idx in sectors(rho.d, conserved)]
-
-
 def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     """[Tr sqrt(sqrt(rho_b) rho_a sqrt(rho_b))]^2 via spectral square roots.
 
@@ -522,38 +646,42 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
       = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
     and under the outer diagonal phases that ``_inner_blocks`` strips from
-    the middle product. That product splits into its pieces: one per
-    photon-number sector when the states share a sectoring, one real piece
-    per parity class of n1 + n2 for a mode-mixed x squeezed pair. That
-    class piece M is cut to the rows and columns whose removal moves its
-    trace norm by at most u ||M||_1 (u = 2^-53, see the module notes), so
-    the fidelity moves by a relative 2u at most; they are chosen from row
-    and column norms taken from the sector blocks, and only the kept
-    block is gathered and decomposed.
+    the middle product. That product splits into its pieces: the sector
+    blocks when the states share a sectoring, one real piece per parity
+    class of n1 + n2 for a mode-mixed x squeezed pair. M is cut to the
+    rows and columns whose removal moves its trace norm by at most
+    u ||M||_1 (u = 2^-53, see the module notes), so the fidelity moves by
+    a relative 2u at most; they are chosen from row and column norms taken
+    from the stacks, and only the kept blocks are gathered and decomposed,
+    a stack's sector blocks in one batch.
     """
-    sqrt_a = np.sqrt(rho_a.spectrum)
-    sqrt_b = np.sqrt(rho_b.spectrum)
-    return sum(_trace_norm(sqrt_a[rows, None] * block * sqrt_b[None, cols])
+    # the sentinel index of the sector pieces reads weight zero
+    sqrt_a = np.sqrt(np.append(rho_a.spectrum, 0.0))
+    sqrt_b = np.sqrt(np.append(rho_b.spectrum, 0.0))
+    return sum(_trace_norm(sqrt_a[rows][..., :, None] * block * sqrt_b[cols][..., None, :])
                for rows, cols, block in _inner_blocks(rho_a, rho_b)) ** 2
 
 
 def _trace_norm(m: np.ndarray) -> float:
+    """Sum of the singular values of a matrix, or of every matrix of a stack."""
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def overlap_fock(rho_a: FockDensity, rho_b: FockDensity) -> float:
     """Tr(rho_a rho_b) on the truncated space.
 
-    Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j.
-    Pairs that share a sectoring sum it over the pieces of
-    ``_inner_blocks``. A mode-mixed x squeezed pair forms no product: the
-    sum is that of the squared row norms of sqrt(Wa) (Oa^T Ob) sqrt(Wb),
-    taken from the sector blocks (``_cross_row_norms``) without pruning.
+    Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j, the
+    sum of the squared row norms of sqrt(Wa) (Ua^dag Ub) sqrt(Wb), taken
+    without pruning and without a singular value decomposition: from the
+    squared moduli of the stack products for a pair on one sectoring, from
+    the stacks alone for a mode-mixed x squeezed pair
+    (``_cross_row_norms``), which forms no product.
     """
+    wa, wb = rho_a.spectrum, rho_b.spectrum
     if _is_cross(rho_a, rho_b):
-        return float(_cross_row_norms(rho_a, rho_b, rho_a.spectrum, rho_b.spectrum).sum())
-    return float(sum(rho_a.spectrum[rows] @ np.abs(block) ** 2 @ rho_b.spectrum[cols]
-                     for rows, cols, block in _inner_blocks(rho_a, rho_b)))
+        return float(_cross_row_norms(rho_a, rho_b, wa, wb).sum())
+    tables, _, squares = _sector_products(rho_a, rho_b)
+    return float((wa * _stack_times(tables, squares, wb)).sum())
 
 
 def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,

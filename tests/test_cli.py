@@ -397,3 +397,30 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 141
+
+
+class TestTruncationSweep:
+    # scripts/truncation_sweep.py ended in a ValueError traceback on
+    # '6,x' and in a ValidationError traceback on '1'
+    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "truncation_sweep.py"
+
+    def run(self, *argv):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, str(self.SCRIPT), *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("raw", ["6,x", "1", "6,2.5", ""])
+    def test_bad_truncations_exit_2(self, raw):
+        proc = self.run("--truncations", raw)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --truncations")
+        assert proc.stderr.count("\n") == 1
+
+    def test_sweep_reports_every_row(self):
+        proc = self.run("--truncations", "6,8")
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = [line.split() for line in proc.stdout.splitlines() if line[:4].strip().isdigit()]
+        assert [int(row[0]) for row in rows] == [6, 8, 6, 8]
+        assert all(float(row[2]) < 1e-1 for row in rows)

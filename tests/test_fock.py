@@ -132,26 +132,44 @@ def kron_generator(device, x, d):
     return x * (np.kron(a.T, a.T) - np.kron(a, a))
 
 
+def slices(d, conserved):
+    """(stack, slice, flat indices) of each sector the library's stack
+    tables name, read off side 0 of each table, so that the squeezer's
+    sectors n1 - n2 < 0, which reuse the slices of n1 - n2 > 0 (see the
+    mirror test), are left out."""
+    for s, table in enumerate(fock._stack_tables(d, conserved)):
+        for j, idx in enumerate(table[0]):
+            yield s, j, idx[idx < d * d]
+
+
+def sector_blocks(d, conserved, stacks):
+    """(flat indices, block) of every sector: the leading corner of its
+    slice, through both sides of the tables."""
+    for table, stack in zip(fock._stack_tables(d, conserved), stacks):
+        for side in table:
+            for idx, x in zip(side, stack):
+                idx = idx[idx < d * d]
+                if idx.size:
+                    yield idx, x[:idx.size, :idx.size]
+
+
 def exponentiated_generators(device, x, d):
     """(library block, its float64 generator, kron-built sector block) for
     each sector the library exponentiates at phase 0, where U = O. The
     generator is read off the library's unit-coupling stacks; it differs
     from the kron-built one only in rounding sqrt(m1 m2) instead of
-    sqrt(m1) sqrt(m2). The squeezer's sectors n1 - n2 < 0 reuse the blocks
-    of n1 - n2 > 0 (see the mirror test)."""
+    sqrt(m1) sqrt(m2)."""
     if device == "bs":
         conserved, coupling = fock.TOTAL, 0.5 * x
-        blocks = fock._bs_blocks(x, 0.0, d)
+        stacks = fock._bs_stacks(x, 0.0, d)
     else:
         conserved, coupling = fock.DIFFERENCE, -x
-        blocks = fock._sq_blocks(x, 0.0, d, 1.0)
-    every = fock.sectors(d, conserved)
+        stacks = fock._sq_stacks(x, 0.0, d, 1.0)
     kron = kron_generator(device, x, d)
-    for positions, unit in fock._ladder_stacks(d, conserved):
-        for j, p in enumerate(positions):
-            idx = every[p]
-            n = len(idx)
-            yield blocks[p], coupling * unit[j, :n, :n], kron[np.ix_(idx, idx)]
+    units = fock._ladder_stacks(d, conserved)
+    for s, j, idx in slices(d, conserved):
+        n = len(idx)
+        yield stacks[s][j, :n, :n], coupling * units[s][j, :n, :n], kron[np.ix_(idx, idx)]
 
 
 class TestSectors:
@@ -227,13 +245,22 @@ class TestBlockedUnitaries:
 
     @pytest.mark.parametrize("d", [6, 40])
     def test_squeezer_sectors_mirror(self, d):
-        # n1 - n2 = k and -k swap the two modes: the same generator, so the
-        # same block (the blocks themselves are checked against the dense
-        # expm above)
-        blocks = fock._sq_blocks(0.9, -1.3, d, 1.0)
-        assert len(blocks) == 2 * d - 1
+        # n1 - n2 = k and -k swap the two modes: the same generator, so one
+        # slice serves both sectors through the two sides of its table (the
+        # blocks themselves are checked against the dense expm above)
+        every = fock.sectors(d, fock.DIFFERENCE)
+        stacks = fock._sq_stacks(0.9, -1.3, d, 1.0)
+        assert sum(x.shape[0] for x in stacks) == d
+        for table in fock._stack_tables(d, fock.DIFFERENCE):
+            for plus, minus in zip(*table):
+                plus, minus = plus[plus < d * d], minus[minus < d * d]
+                k = plus[0] // d - plus[0] % d
+                assert np.array_equal(plus, every[d - 1 + k])
+                assert np.array_equal(minus, every[d - 1 - k] if k else [])
+        dense = fock._assemble(d, fock.DIFFERENCE, stacks)
         for k in range(1, d):
-            assert np.array_equal(blocks[d - 1 - k], blocks[d - 1 + k])
+            assert np.array_equal(dense[np.ix_(every[d - 1 - k], every[d - 1 - k])],
+                                  dense[np.ix_(every[d - 1 + k], every[d - 1 + k])])
 
     @pytest.mark.parametrize("device", ["bs", "sq"])
     def test_kron_generator_is_the_dense_generator(self, device):
@@ -248,16 +275,13 @@ class TestBlockedUnitaries:
         d = 40
         conserved = fock.TOTAL if device == "bs" else fock.DIFFERENCE
         coupling = 0.5 * x if device == "bs" else -x
-        every = fock.sectors(d, conserved)
-        stacks = fock._sector_unitaries(d, conserved, coupling)[1]
-        layout = fock._ladder_stacks(d, conserved)
-        assert len(stacks) == len(layout) == 5
-        for (positions, _), stack in zip(layout, stacks):
+        stacks = fock._sector_unitaries(d, conserved, coupling)
+        assert len(stacks) == len(fock._stack_tables(d, conserved)) == 5
+        for s, j, idx in slices(d, conserved):
+            n, stack = len(idx), stacks[s]
             pad = np.eye(stack.shape[1])
-            for j, p in enumerate(positions):
-                n = len(every[p])
-                assert np.array_equal(stack[j, n:, n:], pad[n:, n:])
-                assert not stack[j, :n, n:].any() and not stack[j, n:, :n].any()
+            assert np.array_equal(stack[j, n:, n:], pad[n:, n:])
+            assert not stack[j, :n, n:].any() and not stack[j, n:, :n].any()
 
     @pytest.mark.parametrize("device, x", [("bs", 0.3), ("bs", 1.6), ("bs", 3.1),
                                            ("sq", 0.05), ("sq", 0.4), ("sq", 1.2),
@@ -283,11 +307,12 @@ class TestBlockedUnitaries:
         # the guard reads the defect off the padded stacks in one product each;
         # it must be the largest defect of the blocks themselves
         d = 40
-        blocks = fock._sq_blocks(r, 0.3, d, 1.0)
-        defect = max(fock.unitarity_defect(o) for o in blocks)
-        assert fock._sq_blocks(r, 0.3, d, defect) is not None
+        stacks = fock._sq_stacks(r, 0.3, d, 1.0)
+        defect = max(fock.unitarity_defect(o)
+                     for _, o in sector_blocks(d, fock.DIFFERENCE, stacks))
+        assert fock._sq_stacks(r, 0.3, d, defect) is not None
         with pytest.raises(TruncationError):
-            fock._sq_blocks(r, 0.3, d, float(np.nextafter(defect, 0.0)))
+            fock._sq_stacks(r, 0.3, d, float(np.nextafter(defect, 0.0)))
 
     @pytest.mark.parametrize("helper", [fock.bs_unitary, fock.sq_unitary], ids=["bs", "sq"])
     @pytest.mark.parametrize("d", [1, 2.5, math.inf, math.nan])
@@ -347,6 +372,34 @@ class TestSqUnitary:
         defects = [fock.unitarity_defect(fock.sq_unitary(0.5, 0.2, d))
                    for d in (10, 20, 30)]
         assert max(defects) < 1e-12
+
+
+# pairs on one sectoring: the same device, or a thermal state with either
+SECTOR_PAIRS = [
+    (FamilyPoint.mts(0.3, 0.15, 1.2, 0.4), FamilyPoint.mts(0.2, 0.4, 2.9, -1.1), 25),
+    (FamilyPoint.sts(0.2, 0.1, 0.3, -0.8), FamilyPoint.sts(0.15, 0.25, 0.1, 0.6), 40),
+    (FamilyPoint.ts(0.25, 0.35), FamilyPoint.mts(0.3, 0.15, 1.2, 0.4), 30),
+    (FamilyPoint.ts(0.25, 0.35), FamilyPoint.sts(0.2, 0.1, 0.3, -0.8), 30),
+    (FamilyPoint.ts(0.25, 0.35), FamilyPoint.ts(0.1, 0.5), 30),
+]
+SECTOR_IDS = ["mts", "sts", "ts-mts", "ts-sts", "ts-ts"]
+
+
+def sector_reference(a, b, rho_a, rho_b):
+    """Unpruned Uhlmann fidelity and overlap of a pair on one sectoring:
+    one complex singular value decomposition per sector of
+    sqrt(Wa) (Ua^dag Ub) sqrt(Wb), from the dense unitaries."""
+    d = rho_a.d
+    conserved = fock.DIFFERENCE if STS in (a.tag, b.tag) else fock.TOTAL
+    ua, ub = dense_unitary(a, d), dense_unitary(b, d)
+    sqrt_a, sqrt_b = np.sqrt(rho_a.spectrum), np.sqrt(rho_b.spectrum)
+    trace_norm = overlap = 0.0
+    for idx in fock.sectors(d, conserved):
+        m = (sqrt_a[idx, None] * (ua[np.ix_(idx, idx)].conj().T @ ub[np.ix_(idx, idx)])
+             * sqrt_b[None, idx])
+        trace_norm += np.linalg.svd(m, compute_uv=False).sum()
+        overlap += (np.abs(m) ** 2).sum()
+    return trace_norm ** 2, overlap
 
 
 class TestUhlmannFidelity:
@@ -430,8 +483,11 @@ class TestUhlmannFidelity:
         for pair in ((thermal, device), (device, thermal)):
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-9)
-        sizes = [max(shape) for shape, _ in svd_inputs]
-        assert len(sizes) == 2 * (2 * d - 1) and max(sizes) == d
+        # one batched real decomposition per stack that keeps a sector: a
+        # stack of sector blocks, each cut to its kept rows and columns
+        conserved = fock.TOTAL if device.tag == MTS else fock.DIFFERENCE
+        assert 0 < len(svd_inputs) <= 2 * len(fock._stack_tables(d, conserved))
+        assert all(len(shape) == 3 and max(shape[1:]) <= d for shape, _ in svd_inputs)
         assert {dtype for _, dtype in svd_inputs} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("d", [12, 13])
@@ -455,8 +511,10 @@ class TestUhlmannFidelity:
         """(class, full Oa^T Ob on it) per parity class, formed densely
         from the sector blocks without any pruning."""
         d = rho_a.d
-        dense = [fock._assemble(zip(fock.sectors(d, rho.conserved), rho.blocks), d * d)
-                 for rho in (rho_a, rho_b)]
+        dense = [np.zeros((d * d, d * d)) for _ in range(2)]
+        for out, rho in zip(dense, (rho_a, rho_b)):
+            for idx, block in sector_blocks(d, rho.conserved, rho.stacks):
+                out[np.ix_(idx, idx)] = block
         return [(cls, dense[0][np.ix_(cls, cls)].T @ dense[1][np.ix_(cls, cls)])
                 for cls in fock.sectors(d, fock.PARITY)]
 
@@ -550,6 +608,82 @@ class TestUhlmannFidelity:
             value = fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
             assert value == pytest.approx(general.fidelity, abs=1e-10)
             assert len(kept) == 1 and set(kept[0][0]) <= set(even)
+
+    @pytest.mark.parametrize("a, b, d", SECTOR_PAIRS, ids=SECTOR_IDS)
+    def test_pruned_sectors_match_unpruned(self, a, b, d):
+        for first, second in ((a, b), (b, a)):
+            rho_a, rho_b = fock.family_dm(first, d), fock.family_dm(second, d)
+            fidelity, overlap = sector_reference(first, second, rho_a, rho_b)
+            assert abs(fock.uhlmann_fidelity(rho_a, rho_b) - fidelity) <= 2e-15 * fidelity
+            assert abs(fock.overlap_fock(rho_a, rho_b) - overlap) <= 2e-15 * overlap
+
+    def test_squeezed_pair_keeps_strict_subsets(self, svd_inputs, kept):
+        a, b, d = SECTOR_PAIRS[SECTOR_IDS.index("sts")]
+        sector_of = np.empty(d * d, dtype=int)
+        for k, idx in enumerate(fock.sectors(d, fock.DIFFERENCE)):
+            sector_of[idx] = k
+        for pair in ((a, b), (b, a)):
+            svd_inputs.clear()
+            kept.clear()
+            fock.uhlmann_fidelity(*(fock.family_dm(p, d) for p in pair))
+            # at most one batched decomposition per stack, of the gathered blocks
+            assert 0 < len(svd_inputs) <= len(fock._stack_tables(d, fock.DIFFERENCE))
+            for (shape, dtype), (rows, cols) in zip(svd_inputs, kept):
+                assert dtype == np.complex128
+                assert shape == rows.shape + cols.shape[1:]
+                # every batch member is cut from one sector
+                for r, c in zip(rows, cols):
+                    members = np.concatenate([r[r < d * d], c[c < d * d]])
+                    assert len(set(sector_of[members])) == 1
+            # most of M lies below roundoff at d = 40: the kept rows and
+            # columns are strict subsets of the flat indices, each kept once
+            for at in (0, 1):
+                flat = np.concatenate([piece[at].ravel() for piece in kept])
+                flat = flat[flat < d * d]
+                assert len(set(flat)) == len(flat) < d * d
+
+    def test_squeezer_slices_share_one_product(self):
+        # the sectors n1 - n2 = +k and -k read one product of slice k; the
+        # dense product agrees with that in modulus on the two sectors, up to
+        # the roundoff of its complex sums
+        a, b, d = SECTOR_PAIRS[SECTOR_IDS.index("sts")]
+        rho_a, rho_b = fock.family_dm(a, d), fock.family_dm(b, d)
+        tables, products, squares = fock._sector_products(rho_a, rho_b)
+        assert sum(parts[0].shape[0] for parts in products) == d
+        assert sum(np.count_nonzero((t < d * d).any(axis=2)) for t in tables) == 2 * d - 1
+        # unequal device phases: a real and an imaginary product per stack
+        assert all(len(parts) == 2 for parts in products)
+        every = fock.sectors(d, fock.DIFFERENCE)
+        ua, ub = dense_unitary(a, d), dense_unitary(b, d)
+        for k in range(1, d):
+            plus, minus = every[d - 1 + k], every[d - 1 - k]
+            sector = [np.abs(ua[np.ix_(idx, idx)].conj().T @ ub[np.ix_(idx, idx)])
+                      for idx in (plus, minus)]
+            np.testing.assert_allclose(sector[0], sector[1], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("a, b, d", SECTOR_PAIRS, ids=SECTOR_IDS)
+    def test_pads_carry_zero_weight(self, a, b, d):
+        rho_a, rho_b = fock.family_dm(a, d), fock.family_dm(b, d)
+        sqrt_a, sqrt_b = (np.sqrt(np.append(r.spectrum, 0.0)) for r in (rho_a, rho_b))
+        assert sqrt_a[d * d] == sqrt_b[d * d] == 0.0
+        for rows, cols, block in fock._inner_blocks(rho_a, rho_b):
+            m = sqrt_a[rows][..., :, None] * block * sqrt_b[cols][..., None, :]
+            assert not m[rows == d * d].any()
+            assert not np.swapaxes(m, 1, 2)[cols == d * d].any()
+
+    @pytest.mark.parametrize("conserved", [fock.TOTAL, fock.DIFFERENCE])
+    @pytest.mark.parametrize("d", [2, 9, 40])
+    def test_tables_name_each_sector_once(self, d, conserved):
+        named = []
+        for table in fock._stack_tables(d, conserved):
+            assert table.shape[2] % 8 == 0
+            for idx in table.reshape(-1, table.shape[2]):
+                real = idx[idx < d * d]
+                # the pad trails the sector and holds exactly the sentinel
+                assert np.all(idx[real.size:] == d * d)
+                if real.size:
+                    named.append(tuple(real))
+        assert sorted(named) == sorted(tuple(idx) for idx in fock.sectors(d, conserved))
 
     def test_cross_family_catalogue_check(self):
         fidelity, overlap = verification.fock_cross_agreement(np.random.default_rng(5), 2, 20)
@@ -653,7 +787,15 @@ class TestSpectralRecord:
                                        FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
     def test_blocks_are_real(self, point):
         rho = fock.family_dm(point, 12)
-        assert all(o.dtype == np.float64 for o in rho.blocks)
+        assert all(x.dtype == np.float64 for x in rho.stacks)
+
+    def test_records_compare_by_identity(self):
+        # arrays have no single truth value, so field-wise equality raised
+        # ValueError, and the frozen record was unhashable
+        point = FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)
+        rho, twin = fock.family_dm(point, 8), fock.family_dm(point, 8)
+        assert rho == rho and rho != twin
+        assert hash(rho) == hash(rho) and len({rho, twin, rho}) == 2
 
     @pytest.mark.parametrize("point", [FamilyPoint.mts(0.3, 0.15, 1.2, 0.4),
                                        FamilyPoint.sts(0.2, 0.1, 0.3, -0.8)])
