@@ -94,15 +94,23 @@ def chart_coords(point: FamilyPoint) -> np.ndarray:
 
 
 def point_from_chart(tag: str, coords) -> FamilyPoint:
-    """Inverse of :func:`chart_coords`; phi is wrapped into (-pi, pi]."""
+    """Inverse of :func:`chart_coords`; phi is wrapped into (-pi, pi].
+
+    Exactly four coordinates are required; they are read as Python floats.
+    """
     _chart_family(tag)
-    coords = np.asarray(coords, dtype=float)
-    phi = math.remainder(coords[3], 2.0 * math.pi)
+    try:
+        n1, n2, device, phi = map(float, coords)
+    except (TypeError, ValueError):
+        raise ValidationError(f"a point on the {tag} chart needs four coordinates") from None
+    if not math.isfinite(phi):
+        raise ValidationError("phi must be finite")
+    phi = math.remainder(phi, 2.0 * math.pi)
     if phi <= -math.pi:
         phi += 2.0 * math.pi
     if tag == MTS:
-        return FamilyPoint.mts(coords[0], coords[1], coords[2], phi)
-    return FamilyPoint.sts(coords[0], coords[1], coords[2] / 2.0, phi)
+        return FamilyPoint.mts(n1, n2, device, phi)
+    return FamilyPoint.sts(n1, n2, device / 2.0, phi)
 
 
 def occupancy_qfi(n: float) -> float:
@@ -169,9 +177,10 @@ def warping_function(tag: str, n1: float, n2: float) -> float:
     return 0.5 * math.sqrt(fam.device(n1, n2))
 
 
-def _interior_guard(point: FamilyPoint, h: np.ndarray):
+def _interior_guard(point: FamilyPoint, h: list):
     p = point.params
-    if min(p.n1, p.n2) - 2.0 * max(h[0], h[1]) <= 0.0:
+    # each occupancy moves by its own 2 h_k only
+    if p.n1 - 2.0 * h[0] <= 0.0 or p.n2 - 2.0 * h[1] <= 0.0:
         raise ChartDomainError("stencil leaves the occupancy domain n > 0")
     if point.tag == MTS:
         if abs(p.n1 - p.n2) < DEGENERACY_GUARD:
@@ -192,21 +201,24 @@ def numeric_metric(point: FamilyPoint) -> MetricMatrix:
     Along a ray xi + t*w the square-rooted fidelity is 1 - (t^2/2) g(w, w)
     to second order; the quadratic form is read off with a fourth-order
     central stencil, and off-diagonal entries follow by polarization.
+    The step along coordinate k is h_k = 1e-3 max(1, |xi_k|), and each
+    occupancy must stay positive over its own stencil (n_k > 2 h_k).
     The first-derivative stencil must vanish to within tolerance, otherwise
     a :class:`NumericalConsistencyError` is raised.
     """
     if point.tag == TS:
         raise ChartDomainError("numeric metric is defined on the 4d charts")
-    coords = chart_coords(point)
-    h = RELATIVE_STEP * np.maximum(1.0, np.abs(coords))
+    coords = chart_coords(point).tolist()
+    h = [RELATIVE_STEP * max(1.0, abs(c)) for c in coords]
     _interior_guard(point, h)
 
     if abs(fidelity_special(point, point) - 1.0) > 1e-12:
         raise NumericalConsistencyError("fidelity at zero displacement is not 1")
 
-    def quad_form(w: np.ndarray) -> float:
+    def quad_form(w: list) -> float:
         f = [
-            math.sqrt(fidelity_special(point, point_from_chart(point.tag, coords + t * w)))
+            math.sqrt(fidelity_special(point, point_from_chart(
+                point.tag, [c + t * wc for c, wc in zip(coords, w)])))
             for t in (-2.0, -1.0, 1.0, 2.0)
         ]
         first = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / 12.0
@@ -219,13 +231,13 @@ def numeric_metric(point: FamilyPoint) -> MetricMatrix:
 
     dim = 4
     g = np.zeros((dim, dim))
-    basis = [h[a] * np.eye(dim)[a] for a in range(dim)]
+    basis = [[h[a] if i == a else 0.0 for i in range(dim)] for a in range(dim)]
     for a in range(dim):
         g[a, a] = quad_form(basis[a]) / h[a] ** 2
     for a in range(dim):
         for b in range(a + 1, dim):
-            q_plus = quad_form(basis[a] + basis[b])
-            q_minus = quad_form(basis[a] - basis[b])
+            q_plus = quad_form([u + v for u, v in zip(basis[a], basis[b])])
+            q_minus = quad_form([u - v for u, v in zip(basis[a], basis[b])])
             g[a, b] = g[b, a] = (q_plus - q_minus) / (4.0 * h[a] * h[b])
     return MetricMatrix(g, coord_names(point.tag))
 

@@ -151,6 +151,13 @@ class TestMetricCommand:
             assert cli.main(command) == 2
             assert capsys.readouterr().out == ""
 
+    def test_numeric_metric_at_large_occupancy(self, tmp_path, capsys):
+        # n2 = 0.3 lies within twice n1's step (2 h_1 = 2) but not its own
+        doc = "family = MTS\nn1 = 1000\nn2 = 0.3\ntheta = 1.0\nphi = 0.2\n"
+        assert cli.main(["metric", write(tmp_path, "a.txt", doc), "--numeric"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["numeric_max_deviation"]) < 1e-4
+
     def test_degenerate_numeric_point_fails(self, tmp_path, capsys):
         doc = "family = MTS\nn1 = 1.0\nn2 = 1.0\ntheta = 1.0\nphi = 0.0\n"
         path = write(tmp_path, "a.txt", doc)
@@ -182,6 +189,14 @@ class TestCurvatureCommand:
         report = parse_report(capsys.readouterr().out)
         assert report["curvature_pipeline"] == "unavailable"
         assert report["warning_0"].startswith("pipeline_unavailable: ")
+
+    def test_pipeline_guard_at_stencil_point(self, capsys):
+        # the centre n1 = 0.0015 passes the guard; the stencil point n1 - h does not
+        assert cli.main(["curvature", "STS", "0.0015", "1", "--method", "pipeline"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["curvature_pipeline"] == "unavailable"
+        assert report["warning_0"] == (
+            "pipeline_unavailable: pipeline requires occupancies >= 1e-3")
 
     @pytest.mark.parametrize("argv", [
         ["MTS", "inf", "1", "--method", "all"],

@@ -37,6 +37,111 @@ def product_r2_sphere_field():
     return cv.MetricField(("x", "y", "theta", "phi"), metric, partials)
 
 
+def reference_christoffel(fld, x):
+    """Christoffel symbols at one point, evaluated on their own."""
+    x = np.asarray(x, dtype=float)
+    fld.check_domain(x)
+    g = np.asarray(fld.metric(x), dtype=float)
+    if np.linalg.cond(g) > 1e10:
+        raise ChartDomainError("metric is singular at this point")
+    ginv = np.linalg.inv(g)
+    dg = np.asarray(fld.partials(x), dtype=float)
+    t = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    return 0.5 * np.einsum("il,ljk->ijk", ginv, t)
+
+
+def reference_pipeline(fld, x):
+    """The pipeline point by point: Christoffel symbols at the centre, then,
+    per coordinate k, at +h/2, -h/2, +h, -h and one Richardson level."""
+    x = np.asarray(x, dtype=float)
+    gamma = reference_christoffel(fld, x)
+    ginv = np.linalg.inv(np.asarray(fld.metric(x), dtype=float))
+    dim = fld.dim
+    dgamma = np.zeros((dim,) * 4)
+    for k in range(dim):
+        e = np.eye(dim)[k]
+        h = 1e-3 * max(1.0, abs(x[k]))
+
+        def central(step):
+            return (reference_christoffel(fld, x + step * e)
+                    - reference_christoffel(fld, x + (-step) * e)) / (2.0 * step)
+
+        dgamma[k] = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    riemann = (
+        np.einsum("kilj->ijkl", dgamma)
+        - np.einsum("likj->ijkl", dgamma)
+        + np.einsum("ikm,mlj->ijkl", gamma, gamma)
+        - np.einsum("ilm,mkj->ijkl", gamma, gamma)
+    )
+    antisym = float(np.abs(riemann + np.transpose(riemann, (0, 1, 3, 2))).max())
+    scalar = float(np.einsum("jl,jl->", ginv, np.einsum("ijil->jl", riemann)))
+    return scalar, antisym
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# each field with a sampler of points in (and at the edges of) its domain
+BIT_IDENTITY_FIELDS = {
+    "euclidean3": (lambda: euclidean_field(3), lambda rng: rng.uniform(-3.0, 3.0, 3)),
+    "r2_sphere": (product_r2_sphere_field,
+                  lambda rng: [*rng.uniform(-2.0, 2.0, 2), rng.uniform(0.2, 2.9),
+                               rng.uniform(-3.0, 3.0)]),
+    "fiber_mts": (lambda: cv.fiber_field("MTS"),
+                  lambda rng: [rng.uniform(0.05, 3.1), rng.uniform(-3.0, 3.0)]),
+    "fiber_sts": (lambda: cv.fiber_field("STS"),
+                  lambda rng: [rng.uniform(0.0, 4.0), rng.uniform(-3.0, 3.0)]),
+    "thermal": (cv.thermal_field, lambda rng: rng.uniform(0.0, 5.0, 2)),
+    "family_mts": (lambda: cv.family_metric_field("MTS"),
+                   lambda rng: [*rng.uniform(0.0, 3.0, 2), rng.uniform(0.0, 3.14),
+                                rng.uniform(-3.0, 3.0)]),
+    "family_sts": (lambda: cv.family_metric_field("STS"),
+                   lambda rng: [*rng.uniform(0.0, 3.0, 2), rng.uniform(0.0, 3.0),
+                                rng.uniform(-3.0, 3.0)]),
+}
+
+
+def squared_first_field(guard=None, nan_above=None, bad_partials_above=None):
+    """diag(1, x0^2): singular where x0 = 0, guard-free unless ``guard`` is
+    given. Past x1 = ``nan_above`` the metric is NaN; past
+    x1 = ``bad_partials_above`` the partials raise."""
+
+    def metric(x):
+        if nan_above is not None and x[1] > nan_above:
+            return np.diag([1.0, math.nan])
+        return np.diag([1.0, x[0] ** 2])
+
+    def partials(x):
+        if bad_partials_above is not None and x[1] > bad_partials_above:
+            raise ValueError("partials undefined here")
+        out = np.zeros((2, 2, 2))
+        out[0, 1, 1] = 2.0 * x[0]
+        return out
+
+    return cv.MetricField(("x0", "x1"), metric, partials, guard)
+
+
+def guard_above(limit):
+    def guard(x):
+        if x[1] > limit:
+            raise ChartDomainError(f"x1 beyond {limit}")
+
+    return guard
+
+
+def guard_right_of(limit):
+    def guard(x):
+        if x[0] > limit:
+            raise ChartDomainError(f"x0 beyond {limit}")
+
+    return guard
+
+
 class TestChristoffel:
     def test_euclidean_vanishes(self):
         gamma = cv.christoffel(euclidean_field(3), [0.2, -0.4, 1.0])
@@ -210,3 +315,62 @@ class TestFamilyPipeline:
         with pytest.raises(ChartDomainError):
             cv.scalar_curvature_pipeline(cv.family_metric_field("STS"),
                                          [1.0, 0.5, 0.01, 0.0])
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_FIELDS))
+    def test_bit_identical_to_pointwise(self, name):
+        make, draw = BIT_IDENTITY_FIELDS[name]
+        fld = make()
+        rng = np.random.default_rng(sorted(BIT_IDENTITY_FIELDS).index(name))
+        passed = 0
+        for _ in range(24):
+            x = draw(rng)
+            expected = outcome(reference_pipeline, fld, x)
+            got = outcome(cv.scalar_curvature_pipeline, fld, x)
+            if isinstance(got, cv.CurvatureReport):
+                got = (got.scalar_r, got.residuals["antisymmetry"])
+                passed += 1
+            assert got == expected
+            expected = outcome(reference_christoffel, fld, x)
+            got = outcome(cv.christoffel, fld, x)
+            if isinstance(expected, np.ndarray):
+                assert np.array_equal(got, expected)
+            else:
+                assert got == expected
+        assert passed >= 20
+
+    # x = (1e-3, 0.3): the metric diag(1, x0^2) is singular only at the
+    # stencil point x0 - h = 0 (row 4); x1 + h/2 (row 5) is the first point
+    # past x1 = 0.3, and x0 + h/2 (row 1) the first past x0 = 1e-3
+    @pytest.mark.parametrize("fld, x, message", [
+        (cv.family_metric_field("STS"), [0.0015, 1.0, 1.0, 0.0],
+         "pipeline requires occupancies >= 1e-3"),
+        (squared_first_field(), [1e-3, 0.3], "metric is singular at this point"),
+        (squared_first_field(guard_above(0.3)), [1e-3, 0.3],
+         "metric is singular at this point"),
+        (squared_first_field(guard_right_of(1e-3)), [1e-3, 0.3], "x0 beyond 0.001"),
+        (squared_first_field(nan_above=0.3), [1e-3, 0.3],
+         "metric is singular at this point"),
+        (squared_first_field(bad_partials_above=0.3), [1e-3, 0.3],
+         "metric is singular at this point"),
+        (squared_first_field(bad_partials_above=0.3), [0.5, 0.3],
+         "partials undefined here"),
+    ], ids=["guard_at_stencil", "singular_at_stencil", "singular_before_guard",
+            "guard_before_singular", "singular_before_nan_metric",
+            "singular_before_partials", "partials_at_stencil"])
+    def test_first_failing_point_raises(self, fld, x, message):
+        expected = outcome(reference_pipeline, fld, x)
+        assert expected[1] == message
+        assert outcome(cv.scalar_curvature_pipeline, fld, x) == expected
+        # the centre itself is fine
+        assert isinstance(cv.christoffel(fld, x), np.ndarray)
+
+    @pytest.mark.parametrize("point", [
+        [1.0, math.nan, 1.0, 0.0], [1.0, 0.5, math.inf, 0.0], [1.0, 0.5, 1.0],
+        [1.0, 0.5, 1.0, 0.0, 0.0], [[1.0, 0.5, 1.0, 0.0]], ["a", 0.5, 1.0, 0.0],
+    ], ids=["nan", "inf", "three", "five", "nested", "text"])
+    @pytest.mark.parametrize("route", [cv.scalar_curvature_pipeline, cv.christoffel])
+    def test_rejects_bad_points(self, route, point):
+        with pytest.raises(ValidationError, match="needs 4 finite coordinates"):
+            route(cv.family_metric_field("MTS"), point)

@@ -7,6 +7,7 @@ import pytest
 
 from gaussfisher import geometry
 from gaussfisher import verification as v
+from gaussfisher.closed_form import fidelity_special
 from gaussfisher.errors import ChartDomainError, ValidationError
 from gaussfisher.states import FamilyPoint, separability_threshold
 
@@ -26,6 +27,18 @@ class TestChart:
             geometry.chart_coords(FamilyPoint.ts(1.0, 0.5))
         with pytest.raises(ValidationError):
             geometry.point_from_chart("TS", [1.0, 0.5])
+
+    @pytest.mark.parametrize("coords", [
+        [1.0, 0.5, 1.0], [1.0, 0.5, 1.0, 0.2, 0.0], [[1.0, 0.5, 1.0, 0.2]],
+        [1.0, 0.5, 1.0, math.inf],
+    ], ids=["three", "five", "nested", "phi_inf"])
+    def test_needs_four_finite_coordinates(self, coords):
+        with pytest.raises(ValidationError):
+            geometry.point_from_chart("MTS", coords)
+
+    def test_coordinates_read_as_floats(self):
+        params = geometry.point_from_chart("STS", np.array([0.6, 0.2, 0.9, -0.7])).params
+        assert all(type(value) is float for value in vars(params).values())
 
 
 class TestQfiClosed:
@@ -88,6 +101,34 @@ class TestMetricMatrix:
             geometry.MetricMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), ("a", "b"))
 
 
+def reference_numeric_metric(point):
+    """numeric_metric with numpy stencil vectors and numpy scalar coordinates."""
+    coords = geometry.chart_coords(point)
+    h = geometry.RELATIVE_STEP * np.maximum(1.0, np.abs(coords))
+
+    def shifted(x):
+        phi = math.remainder(x[3], 2.0 * math.pi)
+        if phi <= -math.pi:
+            phi += 2.0 * math.pi
+        if point.tag == "MTS":
+            return FamilyPoint.mts(x[0], x[1], x[2], phi)
+        return FamilyPoint.sts(x[0], x[1], x[2] / 2.0, phi)
+
+    def quad_form(w):
+        f = [math.sqrt(fidelity_special(point, shifted(coords + t * w)))
+             for t in (-2.0, -1.0, 1.0, 2.0)]
+        return -(-f[0] + 16.0 * f[1] - 30.0 + 16.0 * f[2] - f[3]) / 12.0
+
+    g = np.zeros((4, 4))
+    basis = [h[a] * np.eye(4)[a] for a in range(4)]
+    for a in range(4):
+        g[a, a] = quad_form(basis[a]) / h[a] ** 2
+        for b in range(a + 1, 4):
+            g[a, b] = g[b, a] = ((quad_form(basis[a] + basis[b])
+                                  - quad_form(basis[a] - basis[b])) / (4.0 * h[a] * h[b]))
+    return g
+
+
 class TestNumericMetric:
     def test_mts_against_closed_form(self):
         _, diagonal, off_diagonal = v.metric_deviation(
@@ -116,6 +157,26 @@ class TestNumericMetric:
     def test_degenerate_mts_refused(self):
         with pytest.raises(ChartDomainError):
             geometry.numeric_metric(FamilyPoint.mts(1.0, 1.0004, 1.2, 0.0))
+
+    def test_bit_identical_to_numpy_stencil(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            for point in (
+                FamilyPoint.mts(rng.uniform(0.01, 30.0), rng.uniform(0.01, 3.0),
+                                rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0)),
+                FamilyPoint.sts(rng.uniform(0.01, 30.0), rng.uniform(0.01, 3.0),
+                                rng.uniform(0.05, 1.0), rng.uniform(-3.0, 3.0)),
+            ):
+                assert np.array_equal(geometry.numeric_metric(point).matrix,
+                                      reference_numeric_metric(point))
+
+    @pytest.mark.parametrize("point", [FamilyPoint.mts(1000.0, 0.3, 1.0, 0.2),
+                                       FamilyPoint.sts(100.0, 0.15, 0.5, 0.2)])
+    def test_occupancy_guard_per_coordinate(self, point):
+        # n2 - 2 h_2 > 0 although n2 < 2 h_1: each occupancy moves by its own step
+        _, diagonal, off_diagonal = v.metric_deviation(point)
+        assert diagonal <= 1e-5
+        assert off_diagonal < 1e-6
 
     def test_stencil_domain_guard(self):
         with pytest.raises(ChartDomainError):
