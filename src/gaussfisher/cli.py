@@ -198,7 +198,11 @@ def cmd_curvature(args) -> int:
     warnings = []
 
     if "closed" in methods:
-        values["closed"] = curvature.scalar_closed(family, args.n1, args.n2)
+        try:
+            values["closed"] = curvature.scalar_closed(family, args.n1, args.n2)
+        except ChartDomainError as exc:
+            values["closed"] = None
+            warnings.append(f"closed_unavailable: {exc}")
     if "warped" in methods:
         try:
             values["warped"] = curvature.scalar_warped(family, args.n1, args.n2)
@@ -279,7 +283,8 @@ def _grid_values(args, default_range, default_count):
         raise ValidationError("grid needs at least 2 samples")
     if not lo < hi:
         raise ValidationError("--range needs LO < HI")
-    return list(np.linspace(lo, hi, count))
+    # as Python floats, so that the closed forms need not convert each sample
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _g17(x: float) -> str:

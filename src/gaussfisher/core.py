@@ -8,6 +8,7 @@ determinant invariants (delta, gamma, lam) combined into the pair
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,9 +248,10 @@ def distances(fidelity: float) -> dict:
     if not 0.0 <= fidelity <= 1.0 + tol.branch:
         raise ValidationError(f"fidelity {fidelity!r} outside [0, 1]")
     f = min(float(fidelity), 1.0)
-    root = np.sqrt(f)
+    root = math.sqrt(f)
+    # np.arccos, not math.acos: the two differ by an ulp at some arguments
     return {
-        "bures": float(np.sqrt(2.0 - 2.0 * root)),
+        "bures": math.sqrt(2.0 - 2.0 * root),
         "angle": float(np.arccos(root)),
     }
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartDomainError, ValidationError
+from .errors import ChartDomainError, ValidationError, overflow_error
 from .geometry import FAMILY_METRICS, occupancy_qfi, occupancy_qfi_derivative
 from .states import MTS, STS, _check_occupancies
 
@@ -79,25 +79,29 @@ def _christoffel_stack(fld: MetricField, points: np.ndarray):
     Guards, metrics and partials run point by point; the condition test,
     the inversion and the contraction run once over the stack. The error
     raised is the one a point-by-point pass raises first: each point's
-    guard and metric, then its condition test, then its partials.
+    guard and metric, then its condition test, then its partials. A metric
+    that is not finite fails its condition test with ChartDomainError.
     """
     metrics, partials, failure = [], [], None
-    for x in points:
-        try:
-            fld.check_domain(x)
-            metrics.append(fld.metric(x))
-            partials.append(fld.partials(x))
-        except Exception as exc:  # re-raised below unless an earlier metric is singular
-            failure = exc
-            break
+    # an overflowing numpy scalar shows as a non-finite metric, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in points:
+            try:
+                fld.check_domain(x)
+                metrics.append(fld.metric(x))
+                partials.append(fld.partials(x))
+            except Exception as exc:  # re-raised below unless an earlier metric fails
+                failure = exc
+                break
     g = np.array(metrics, dtype=float).reshape(-1, fld.dim, fld.dim)
-    # cond's SVD raises on a NaN metric, so the metrics before the first one
-    # are tested on their own
-    nan = np.isnan(g).any(axis=(1, 2))
-    cut = int(nan.argmax()) if nan.any() else len(g)
-    for part in (g[:cut], g[cut:]):
-        if len(part) and (np.linalg.cond(part) > _COND_LIMIT).any():
-            raise ChartDomainError("metric is singular at this point")
+    # cond's SVD raises on a non-finite metric, so only the metrics before
+    # the first one are tested
+    finite = np.isfinite(g).all(axis=(1, 2))
+    cut = len(g) if finite.all() else int(finite.argmin())
+    if cut and (np.linalg.cond(g[:cut]) > _COND_LIMIT).any():
+        raise ChartDomainError("metric is singular at this point")
+    if cut < len(g):
+        raise ChartDomainError("metric is not finite at this point")
     if failure is not None:
         raise failure
     ginv = np.linalg.inv(g)
@@ -153,21 +157,34 @@ def scalar_curvature_pipeline(fld: MetricField, point) -> CurvatureReport:
 
 
 def scalar_closed(family_tag: str, n1: float, n2: float) -> float:
-    """Closed-form scalar curvature; depends only on the occupancies."""
-    _check_occupancies(n1, n2)
+    """Closed-form scalar curvature; depends only on the occupancies.
+
+    Raises ChartDomainError where the evaluation overflows double precision:
+    occupancies from about 1e77 on, and MTS points within about 1e-162 of
+    the vacuum, where the squared denominator underflows.
+    """
+    n1, n2 = _check_occupancies(n1, n2)
     # factored so that swapping n1 and n2 gives bit-identical results
     occ = (n1 * (n1 + 1.0)) * (n2 * (n2 + 1.0))
-    if family_tag == MTS:
-        denom = 2.0 * (n1 * n2) + (n1 + n2)
-        if denom == 0.0:
-            return math.inf
-        num = (n1 - n2) ** 2 - 24.0 * occ + 9.0 * denom
-        return 2.0 * num / denom**2
-    if family_tag == STS:
-        denom = 2.0 * (n1 * n2) + (n1 + n2) + 1.0
-        num = ((n1 + n2) + 1.0) ** 2 - 24.0 * occ - 9.0 * denom
-        return 2.0 * num / denom**2
-    raise ValidationError(f"no closed-form curvature for family {family_tag!r}")
+    try:
+        if family_tag == MTS:
+            denom = 2.0 * (n1 * n2) + (n1 + n2)
+            if denom == 0.0:
+                return math.inf
+            num = (n1 - n2) ** 2 - 24.0 * occ + 9.0 * denom
+        elif family_tag == STS:
+            denom = 2.0 * (n1 * n2) + (n1 + n2) + 1.0
+            num = ((n1 + n2) + 1.0) ** 2 - 24.0 * occ - 9.0 * denom
+        else:
+            raise ValidationError(f"no closed-form curvature for family {family_tag!r}")
+        value = 2.0 * num / denom**2
+        # off the MTS vacuum the exact value is finite, so an inf or nan was
+        # left by an overflowed product; value - value is then nan, which is true
+        if value - value:
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise overflow_error(f"scalar curvature at (n1, n2) = ({n1!r}, {n2!r})") from None
+    return value
 
 
 def section_curve(family_tag: str, kind: str, s: float) -> float:
@@ -176,8 +193,11 @@ def section_curve(family_tag: str, kind: str, s: float) -> float:
     ``symmetric`` is the section along n1 = n2 = s; ``perpendicular`` the
     orthogonal section through the distinguished symmetric point
     (n1 + n2 = 1 for MTS, n1 + n2 = twice the saddle occupancy for STS);
-    ``edge`` the physicality-edge section n2 = 0.
+    ``edge`` the physicality-edge section n2 = 0. The STS symmetric section
+    raises ChartDomainError where its evaluation overflows double precision.
     """
+    if type(s) is np.float64:
+        s = float(s)
     if family_tag == MTS:
         if kind == "symmetric":
             if not 0.0 <= s < math.inf:
@@ -197,7 +217,14 @@ def section_curve(family_tag: str, kind: str, s: float) -> float:
             if not 0.0 <= s < math.inf:
                 raise ValidationError("symmetric section needs finite s >= 0")
             beta = s * (s + 1.0)
-            return -4.0 * (12.0 * beta**2 + 7.0 * beta + 4.0) / (2.0 * beta + 1.0) ** 2
+            try:
+                value = -4.0 * (12.0 * beta**2 + 7.0 * beta + 4.0) / (2.0 * beta + 1.0) ** 2
+                # nan, left by an overflowed s * (s + 1), makes value - value true
+                if value - value:
+                    raise OverflowError
+            except OverflowError:
+                raise overflow_error(f"STS symmetric section at s = {s!r}") from None
+            return value
         if kind == "perpendicular":
             ns = SADDLE_OCCUPANCY
             if not 0.0 <= s <= 2.0 * ns:
@@ -222,9 +249,10 @@ def scalar_warped(family_tag: str, n1: float, n2: float) -> float:
     Combines the constant fiber curvature (+2 sphere for MTS, -2
     hyperboloid for STS) with first and second logarithmic derivatives of
     the device metric component u^2/D in the occupancies; all derivatives
-    are analytic rational functions.
+    are analytic rational functions. Raises ChartDomainError where the
+    evaluation overflows double precision.
     """
-    _check_occupancies(n1, n2)
+    n1, n2 = _check_occupancies(n1, n2)
     fam = FAMILY_METRICS.get(family_tag)
     if fam is None:
         raise ValidationError(f"no warped route for family {family_tag!r}")
@@ -235,15 +263,18 @@ def scalar_warped(family_tag: str, n1: float, n2: float) -> float:
     # log H_dev = 2 log u - log D, with dD/dn1 = 2 n2 + 1 and dD/dn2 = 2 n1 + 1
     l1 = 2.0 / u - (2.0 * n2 + 1.0) / d
     l2 = 2.0 * fam.du_dn2 / u - (2.0 * n1 + 1.0) / d
-    l11 = -2.0 / u**2 + (2.0 * n2 + 1.0) ** 2 / d**2
-    l22 = -2.0 / u**2 + (2.0 * n1 + 1.0) ** 2 / d**2
-    return (
-        4.0 * fam.fiber_curvature / (u**2 / d)
-        - 2.0 * n1 * (n1 + 1.0) * (4.0 * l11 + 3.0 * l1**2)
-        - 2.0 * n2 * (n2 + 1.0) * (4.0 * l22 + 3.0 * l2**2)
-        - 4.0 * (2.0 * n1 + 1.0) * l1
-        - 4.0 * (2.0 * n2 + 1.0) * l2
-    )
+    try:
+        l11 = -2.0 / u**2 + (2.0 * n2 + 1.0) ** 2 / d**2
+        l22 = -2.0 / u**2 + (2.0 * n1 + 1.0) ** 2 / d**2
+        return (
+            4.0 * fam.fiber_curvature / (u**2 / d)
+            - 2.0 * n1 * (n1 + 1.0) * (4.0 * l11 + 3.0 * l1**2)
+            - 2.0 * n2 * (n2 + 1.0) * (4.0 * l22 + 3.0 * l2**2)
+            - 4.0 * (2.0 * n1 + 1.0) * l1
+            - 4.0 * (2.0 * n2 + 1.0) * l2
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise overflow_error(f"warped scalar curvature at (n1, n2) = ({n1!r}, {n2!r})") from None
 
 
 # --- metric fields -------------------------------------------------------

@@ -19,3 +19,15 @@ class ChartDomainError(GaussFisherError, ValueError):
 
 class TruncationError(GaussFisherError, RuntimeError):
     """Fock-space truncation is too small for the requested accuracy."""
+
+
+def overflow_error(what: str) -> ChartDomainError:
+    """The error a closed form raises where its double-precision arithmetic overflows.
+
+    On Python floats an overflowing ``**`` raises OverflowError, and a
+    divisor whose square underflows to zero raises ZeroDivisionError. Each
+    closed form catches these around its own arithmetic and raises this in
+    their place; a try block costs nothing until it fires, where a wrapper
+    function would cost a call per evaluation.
+    """
+    return ChartDomainError(f"{what} overflows double precision")

@@ -16,8 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .closed_form import fidelity_special
-from .errors import ChartDomainError, NumericalConsistencyError, ValidationError
-from .states import MTS, STS, TS, FamilyPoint, _check_occupancies, separability_threshold
+from .errors import ChartDomainError, NumericalConsistencyError, ValidationError, overflow_error
+from .states import (MTS, STS, TS, FamilyPoint, MtsParams, StsParams, _check_occupancies,
+                     separability_threshold)
 
 MTS_COORDS = ("n1", "n2", "theta", "phi")
 STS_COORDS = ("n1", "n2", "2r", "phi")
@@ -55,9 +56,17 @@ class FamilyMetric:
         return 2.0 * n1 * n2 + n1 + n2 + self.c
 
     def device(self, n1: float, n2: float) -> float:
-        """H_dev; zero at the MTS vacuum, where u and D both vanish."""
+        """H_dev; zero at the MTS vacuum, where u and D both vanish.
+
+        Raises ChartDomainError where u^2 overflows double precision.
+        """
         d = self.denominator(n1, n2)
-        return 0.0 if d == 0.0 else self.numerator(n1, n2) ** 2 / d
+        if d == 0.0:
+            return 0.0
+        try:
+            return self.numerator(n1, n2) ** 2 / d
+        except OverflowError:
+            raise overflow_error(f"device metric component at (n1, n2) = ({n1!r}, {n2!r})") from None
 
     def components(self, n1: float, n2: float, x: float) -> tuple:
         """The four QFI components at occupancies (n1, n2) and device coordinate x."""
@@ -108,9 +117,11 @@ def point_from_chart(tag: str, coords) -> FamilyPoint:
     phi = math.remainder(phi, 2.0 * math.pi)
     if phi <= -math.pi:
         phi += 2.0 * math.pi
+    # built from the parameter records: the coordinates are floats already,
+    # so the constructors' numpy conversion has nothing to do here
     if tag == MTS:
-        return FamilyPoint.mts(n1, n2, device, phi)
-    return FamilyPoint.sts(n1, n2, device / 2.0, phi)
+        return FamilyPoint(MTS, MtsParams(n1, n2, device, phi))
+    return FamilyPoint(STS, StsParams(n1, n2, device / 2.0, phi))
 
 
 def occupancy_qfi(n: float) -> float:
@@ -159,7 +170,7 @@ def qfi_closed(point: FamilyPoint) -> QfiDiagonal:
 
 def ts_metric(n1: float, n2: float) -> MetricMatrix:
     """Bures metric on the two-dimensional thermal manifold."""
-    _check_occupancies(n1, n2)
+    n1, n2 = _check_occupancies(n1, n2)
     if n1 == 0.0 or n2 == 0.0:
         raise ChartDomainError("thermal metric diverges at zero occupancy")
     g = 0.25 * np.diag([occupancy_qfi(n1), occupancy_qfi(n2)])
@@ -171,7 +182,7 @@ def warping_function(tag: str, n1: float, n2: float) -> float:
     fam = FAMILY_METRICS.get(tag)
     if fam is None:
         raise ValidationError(f"no warping function for family {tag!r}")
-    _check_occupancies(n1, n2)
+    n1, n2 = _check_occupancies(n1, n2)
     if fam.denominator(n1, n2) == 0.0:
         raise ChartDomainError("warping undefined at the vacuum point")
     return 0.5 * math.sqrt(fam.device(n1, n2))

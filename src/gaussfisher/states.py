@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TwoModeGaussian
-from .errors import ValidationError
+from .errors import ValidationError, overflow_error
 
 TS = "TS"
 MTS = "MTS"
@@ -20,9 +20,21 @@ STS = "STS"
 
 
 def _check_occupancies(n1, n2):
+    """Refuse occupancies that are not finite and >= 0; return the two.
+
+    numpy float64 scalars come back as Python floats, so that the closed
+    forms calling this compute on floats, several times faster than on
+    numpy scalars; other types, such as the sympy symbols of the symbolic
+    tests, pass through unchanged.
+    """
+    if type(n1) is np.float64:
+        n1 = float(n1)
+    if type(n2) is np.float64:
+        n2 = float(n2)
     # written so that NaN fails too
     if not (0.0 <= n1 < math.inf and 0.0 <= n2 < math.inf):
         raise ValidationError("mean photon numbers must be finite and >= 0")
+    return n1, n2
 
 
 @dataclass(frozen=True)
@@ -91,16 +103,29 @@ class FamilyPoint:
                 f"family {self.tag} expects {_PARAM_TYPES[self.tag].__name__}"
             )
 
+    # The constructors hand numpy float64 arguments on as Python floats, so
+    # that the closed forms on the point compute on floats.
+
     @classmethod
     def ts(cls, n1, n2):
+        n1 = float(n1) if type(n1) is np.float64 else n1
+        n2 = float(n2) if type(n2) is np.float64 else n2
         return cls(TS, TsParams(n1, n2))
 
     @classmethod
     def mts(cls, n1, n2, theta, phi):
+        n1 = float(n1) if type(n1) is np.float64 else n1
+        n2 = float(n2) if type(n2) is np.float64 else n2
+        theta = float(theta) if type(theta) is np.float64 else theta
+        phi = float(phi) if type(phi) is np.float64 else phi
         return cls(MTS, MtsParams(n1, n2, theta, phi))
 
     @classmethod
     def sts(cls, n1, n2, r, phi):
+        n1 = float(n1) if type(n1) is np.float64 else n1
+        n2 = float(n2) if type(n2) is np.float64 else n2
+        r = float(r) if type(r) is np.float64 else r
+        phi = float(phi) if type(phi) is np.float64 else phi
         return cls(STS, StsParams(n1, n2, r, phi))
 
     def to_state(self) -> TwoModeGaussian:
@@ -172,5 +197,8 @@ def family_cov(point: FamilyPoint) -> np.ndarray:
 
 def separability_threshold(n1: float, n2: float) -> float:
     """Squeeze value below which an STS with these occupancies is separable."""
-    _check_occupancies(n1, n2)
-    return math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
+    n1, n2 = _check_occupancies(n1, n2)
+    value = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
+    if value == math.inf:  # n1 * n2 overflowed
+        raise overflow_error(f"separability threshold at (n1, n2) = ({n1!r}, {n2!r})")
+    return value

@@ -151,6 +151,14 @@ class TestMetricCommand:
             assert cli.main(command) == 2
             assert capsys.readouterr().out == ""
 
+    def test_overflowing_point_exits_2(self, tmp_path, capsys):
+        doc = MTS_DOC.replace("n1 = 2.0", "n1 = 1e160")
+        assert "1e160" in doc
+        assert cli.main(["metric", write(tmp_path, "a.txt", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows double precision" in captured.err
+
     def test_numeric_metric_at_large_occupancy(self, tmp_path, capsys):
         # n2 = 0.3 lies within twice n1's step (2 h_1 = 2) but not its own
         doc = "family = MTS\nn1 = 1000\nn2 = 0.3\ntheta = 1.0\nphi = 0.2\n"
@@ -210,6 +218,27 @@ class TestCurvatureCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
 
+    def test_closed_overflow_reported(self, capsys):
+        # the other routes still report: warped overflows too, the pipeline's
+        # metric is not finite
+        assert cli.main(["curvature", "STS", "1e200", "1", "--method", "all"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        for key in ("curvature_closed", "curvature_pipeline", "curvature_warped"):
+            assert report[key] == "unavailable"
+        assert report["warning_0"] == ("closed_unavailable: scalar curvature at (n1, n2) = "
+                                       "(1e+200, 1.0) overflows double precision")
+        assert report["warning_1"].startswith("warped_unavailable: ")
+        assert report["warning_2"] == ("pipeline_unavailable: metric is not finite "
+                                       "at this point")
+        assert "max_residual" not in report
+
+    def test_pipeline_non_finite_metric(self, capsys):
+        assert cli.main(["curvature", "MTS", "1e160", "1e159", "--method", "pipeline"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["curvature_pipeline"] == "unavailable"
+        assert report["warning_0"] == ("pipeline_unavailable: metric is not finite "
+                                       "at this point")
+
     def test_method_all_at_degenerate_point(self, capsys):
         assert cli.main(["curvature", "MTS", "0.5", "0.5", "--method", "all"]) == 0
         report = parse_report(capsys.readouterr().out)
@@ -241,6 +270,28 @@ class TestSurfaceCommand:
         assert cli.main(["surface", "4b", "--count", "41", "--out", str(a)]) == 0
         assert cli.main(["surface", "4b", "--count", "41", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_range_and_values_write_identical_csv(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["surface", "1", "--range", "0:5", "--count", "5",
+                         "--out", str(a)]) == 0
+        assert cli.main(["surface", "1", "--values", "0,1.25,2.5,3.75,5",
+                         "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["1", "--range", "0:1e200", "--count", "3"],
+        ["1", "--values", "1e200"],
+        ["3", "--values", "1,1e200"],
+        ["4a", "--range", "0:1e160", "--count", "3"],
+        ["1", "--range", "0:1e-200", "--count", "3"],
+    ], ids=["range_huge", "values_diagonal", "values_sts", "section_huge", "range_tiny"])
+    def test_past_double_precision_exits_2(self, capsys, argv):
+        assert cli.main(["surface", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflows double precision" in captured.err
 
     def test_surface_figure_grid(self, tmp_path):
         out = tmp_path / "fig1.csv"

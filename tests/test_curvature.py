@@ -374,3 +374,14 @@ class TestStackedPass:
     def test_rejects_bad_points(self, route, point):
         with pytest.raises(ValidationError, match="needs 4 finite coordinates"):
             route(cv.family_metric_field("MTS"), point)
+
+    # a NaN metric at the centre with no singular point before it, and the
+    # MTS field at finite occupancies where u^2 / D overflows to inf / inf
+    @pytest.mark.parametrize("fld, x", [
+        (squared_first_field(nan_above=0.2), [0.5, 0.3]),
+        (cv.family_metric_field("MTS"), [1e160, 1e159, 1.0, 0.0]),
+    ], ids=["nan_metric", "overflowing_family_field"])
+    @pytest.mark.parametrize("route", [cv.scalar_curvature_pipeline, cv.christoffel])
+    def test_non_finite_metric_refused(self, route, fld, x):
+        with pytest.raises(ChartDomainError, match="^metric is not finite at this point$"):
+            route(fld, x)

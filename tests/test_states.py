@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussfisher import states
+from gaussfisher import closed_form, geometry, states
+from gaussfisher import curvature as cv
 from gaussfisher.core import check_physical, symplectic_form
-from gaussfisher.errors import ValidationError
+from gaussfisher.errors import ChartDomainError, ValidationError
 
 angles = st.floats(min_value=-math.pi + 1e-9, max_value=math.pi)
 thetas = st.floats(min_value=0.0, max_value=math.pi - 1e-9)
@@ -201,3 +202,127 @@ class TestParamValidation:
     def test_family_point_tag_consistency(self):
         with pytest.raises(ValidationError):
             states.FamilyPoint(states.MTS, states.TsParams(1.0, 0.5))
+
+
+# the figure grids' sample ranges: the surfaces over [0, 5]^2 and each
+# section over its own interval
+FIGURE_SECTIONS = [
+    ("MTS", "symmetric", 5.0), ("MTS", "perpendicular", 1.0), ("MTS", "edge", 5.0),
+    ("STS", "symmetric", 5.0), ("STS", "perpendicular", 2.0 * cv.SADDLE_OCCUPANCY),
+    ("STS", "edge", 5.0),
+]
+
+
+def draw_points(rng, count):
+    """Seeded MTS and STS points, once from numpy float64 draws and once
+    from the same draws as Python floats."""
+    pairs = []
+    for _ in range(count):
+        n1, n2, theta, r = rng.uniform([0.0, 0.0, 0.05, 0.0], [5.0, 5.0, 3.09, 1.2])
+        phi = np.float64(rng.uniform(-3.1, 3.1))
+        for make, device in ((states.FamilyPoint.mts, theta), (states.FamilyPoint.sts, r)):
+            args = (n1, n2, device, phi)
+            pairs.append((make(*args), make(*(float(a) for a in args))))
+    return pairs
+
+
+class TestFloatArithmetic:
+    """numpy float64 inputs are converted once, so the closed forms compute
+    on Python floats, bit for bit as on float inputs."""
+
+    @pytest.mark.parametrize("tag", ["MTS", "STS"])
+    def test_surface_and_warped(self, tag, rng):
+        for n1, n2 in rng.uniform(0.0, 5.0, (200, 2)):
+            got = cv.scalar_closed(tag, n1, n2)
+            assert type(got) is float
+            assert got == cv.scalar_closed(tag, float(n1), float(n2))
+            if abs(n1 - n2) > 1e-3:
+                got = cv.scalar_warped(tag, n1, n2)
+                assert type(got) is float
+                assert got == cv.scalar_warped(tag, float(n1), float(n2))
+
+    @pytest.mark.parametrize("tag, kind, top", FIGURE_SECTIONS)
+    def test_sections(self, tag, kind, top, rng):
+        for s in rng.uniform(0.0, top, 200):
+            got = cv.section_curve(tag, kind, s)
+            assert type(got) is float
+            assert got == cv.section_curve(tag, kind, float(s))
+
+    def test_family_points(self, rng):
+        for from_numpy, from_floats in draw_points(rng, 50):
+            assert from_numpy == from_floats
+            assert all(type(v) is float for v in vars(from_numpy.params).values())
+            got = closed_form.fidelity_special(from_numpy, from_floats)
+            assert type(got) is float
+            assert got == closed_form.fidelity_special(from_floats, from_floats)
+            h = geometry.qfi_closed(from_numpy).h
+            assert all(type(v) is float for v in h.values())
+            assert h == geometry.qfi_closed(from_floats).h
+            got = geometry.jeffreys_prior(from_numpy)
+            assert type(got) is float
+            assert got == geometry.jeffreys_prior(from_floats)
+            assert np.array_equal(states.family_cov(from_numpy),
+                                  states.family_cov(from_floats))
+
+    def test_ts_point_and_occupancy_helpers(self):
+        point = states.FamilyPoint.ts(np.float64(0.25), np.float64(1.5))
+        assert point == states.FamilyPoint.ts(0.25, 1.5)
+        assert all(type(v) is float for v in vars(point.params).values())
+        n1, n2 = states._check_occupancies(np.float64(0.25), np.float64(1.5))
+        assert (type(n1), type(n2)) == (float, float)
+        assert (states.separability_threshold(np.float64(0.25), np.float64(1.5))
+                == states.separability_threshold(0.25, 1.5))
+        assert np.array_equal(geometry.ts_metric(np.float64(0.25), np.float64(1.5)).matrix,
+                              geometry.ts_metric(0.25, 1.5).matrix)
+
+    def test_text_is_still_refused(self):
+        with pytest.raises(TypeError):
+            states.FamilyPoint.mts("1.0", 0.5, 1.0, 0.0)
+        with pytest.raises(TypeError):
+            cv.scalar_closed("MTS", "1.0", 0.5)
+
+
+N_HUGE = 1e160
+
+OVERFLOWING = {
+    "scalar_closed_mts": lambda n: cv.scalar_closed("MTS", n, n / 10.0),
+    "scalar_closed_sts": lambda n: cv.scalar_closed("STS", n, n / 10.0),
+    "scalar_warped_mts": lambda n: cv.scalar_warped("MTS", n, n / 10.0),
+    "scalar_warped_sts": lambda n: cv.scalar_warped("STS", n, n / 10.0),
+    "section_sts_symmetric": lambda n: cv.section_curve("STS", "symmetric", n),
+    "warping_mts": lambda n: geometry.warping_function("MTS", n, n / 10.0),
+    "warping_sts": lambda n: geometry.warping_function("STS", n, n / 10.0),
+    "separability_threshold": lambda n: states.separability_threshold(n, n / 10.0),
+    "qfi_closed_mts": lambda n: geometry.qfi_closed(states.FamilyPoint.mts(n, n / 10.0, 1.0, 0.2)),
+    "qfi_closed_sts": lambda n: geometry.qfi_closed(states.FamilyPoint.sts(n, n / 10.0, 0.5, 0.2)),
+    "jeffreys_mts": lambda n: geometry.jeffreys_prior(states.FamilyPoint.mts(n, n / 10.0, 1.0, 0.2)),
+    "jeffreys_sts": lambda n: geometry.jeffreys_prior(states.FamilyPoint.sts(n, n / 10.0, 0.5, 0.2)),
+}
+
+
+class TestOverflowRefused:
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("n", [N_HUGE, np.float64(N_HUGE)], ids=["float", "numpy"])
+    def test_raises_chart_domain_error(self, name, n):
+        with pytest.raises(ChartDomainError, match="overflows double precision"):
+            OVERFLOWING[name](n)
+
+    @pytest.mark.parametrize("tag, n1, n2", [
+        ("MTS", 1e77, 5e76),     # a product overflows to -inf, no OverflowError
+        ("MTS", 1e200, 1e200),   # inf - inf on the diagonal
+        ("STS", 0.0, 9.5e153),   # 2 * num overflows to inf
+        ("MTS", 0.0, 1e-200),    # the squared denominator underflows to 0
+    ])
+    def test_silent_non_finite_values_refused(self, tag, n1, n2):
+        for a, b in ((n1, n2), (np.float64(n1), np.float64(n2))):
+            with pytest.raises(ChartDomainError, match="overflows double precision"):
+                cv.scalar_closed(tag, a, b)
+
+    def test_poles_and_limits_still_evaluate(self):
+        assert cv.scalar_closed("MTS", 0.0, 0.0) == math.inf
+        assert cv.section_curve("MTS", "symmetric", 0.0) == math.inf
+        assert cv.section_curve("MTS", "edge", 0.0) == math.inf
+        # representable values just inside the domain
+        assert cv.scalar_closed("STS", 1e100, 1.0) == pytest.approx(-94.0 / 9.0)
+        assert cv.section_curve("MTS", "symmetric", N_HUGE) == -12.0
+        assert cv.section_curve("STS", "edge", N_HUGE) == 2.0
