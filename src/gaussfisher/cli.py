@@ -197,36 +197,31 @@ def cmd_curvature(args) -> int:
     values = {}
     warnings = []
 
-    if "closed" in methods:
-        try:
-            values["closed"] = curvature.scalar_closed(family, args.n1, args.n2)
-        except ChartDomainError as exc:
-            values["closed"] = None
-            warnings.append(f"closed_unavailable: {exc}")
-    if "warped" in methods:
-        try:
-            values["warped"] = curvature.scalar_warped(family, args.n1, args.n2)
-        except ChartDomainError as exc:
-            values["warped"] = None
-            warnings.append(f"warped_unavailable: {exc}")
-    if "pipeline" in methods:
+    def pipeline():
         device = args.device or ([math.pi / 3.0, 0.0] if family == MTS else [0.5, 0.0])
         coordinate = device[0] if family == MTS else 2.0 * device[0]
-        field = curvature.family_metric_field(family)
-        try:
-            report = curvature.scalar_curvature_pipeline(
-                field, [args.n1, args.n2, coordinate, device[1]])
-            values["pipeline"] = report.scalar_r
-            rows.append(("pipeline_antisymmetry_residual",
-                         report.residuals["antisymmetry"]))
-        except ChartDomainError as exc:
-            values["pipeline"] = None
-            warnings.append(f"pipeline_unavailable: {exc}")
+        report = curvature.scalar_curvature_pipeline(
+            curvature.family_metric_field(family), [args.n1, args.n2, coordinate, device[1]])
+        rows.append(("pipeline_antisymmetry_residual", report.residuals["antisymmetry"]))
+        return report.scalar_r
 
-    for name in ("closed", "pipeline", "warped"):
-        if name in values:
-            value = values[name]
-            rows.append((f"curvature_{name}", "unavailable" if value is None else value))
+    # evaluated in this order, which is the order of the warnings
+    routes = {
+        "closed": lambda: curvature.scalar_closed(family, args.n1, args.n2),
+        "warped": lambda: curvature.scalar_warped(family, args.n1, args.n2),
+        "pipeline": pipeline,
+    }
+    for name, route in routes.items():
+        if name in methods:
+            try:
+                values[name] = route()
+            except ChartDomainError as exc:
+                values[name] = None
+                warnings.append(f"{name}_unavailable: {exc}")
+
+    for name in methods:
+        value = values[name]
+        rows.append((f"curvature_{name}", "unavailable" if value is None else value))
     finite = {k: v for k, v in values.items() if v is not None and math.isfinite(v)}
     if args.method == "all" and len(finite) >= 2:
         ref = finite.get("closed", 0.0)

@@ -8,7 +8,7 @@ explicit expressions in the defining parameters, and the fidelity becomes
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalConsistencyError, ValidationError
+from .errors import NumericalConsistencyError, ValidationError, cancellation_error
 from .states import MTS, STS, TS, FamilyPoint, MtsParams, StsParams
 from .tolerances import current as current_tol
 
@@ -106,7 +106,11 @@ def fidelity_special(a: FamilyPoint, b: FamilyPoint) -> float:
     """Closed-form fidelity of two same-family points.
 
     Cross-family pairs are rejected; route those through the general
-    covariance-matrix path instead.
+    covariance-matrix path instead. Where sqrt(k_plus) - sqrt(k_minus)
+    rounds to zero, NumericalConsistencyError is raised.
     """
     inv = pair_invariants(a, b)
-    return 2.0 / (math.sqrt(inv.k_plus) - math.sqrt(inv.k_minus)) ** 2
+    try:
+        return 2.0 / (math.sqrt(inv.k_plus) - math.sqrt(inv.k_minus)) ** 2
+    except ZeroDivisionError:
+        raise cancellation_error(inv.k_plus, inv.k_minus) from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError
+from .errors import NumericalConsistencyError, ValidationError, cancellation_error
 from .tolerances import current as current_tol
 
 log = logging.getLogger("gaussfisher")
@@ -204,13 +204,17 @@ def fidelity_two_mode(state_a: TwoModeGaussian, state_b: TwoModeGaussian) -> Fid
     """Fidelity of two two-mode Gaussian states, with its invariant breakdown.
 
     fidelity = 2 (sqrt(k_plus) - sqrt(k_minus))^-2 * displacement factor;
-    overlap = Tr(rho' rho'') = delta^-1/2 * displacement factor.
+    overlap = Tr(rho' rho'') = delta^-1/2 * displacement factor. Where
+    sqrt(k_plus) - sqrt(k_minus) rounds to zero, NumericalConsistencyError
+    is raised.
     """
     inv = compute_invariants(state_a.cov, state_b.cov)
     dv = state_a.mean - state_b.mean
     disp = _displacement_factor(dv, state_a.cov + state_b.cov)
     overlap = disp / np.sqrt(inv.delta)
     root_gap = np.sqrt(inv.k_plus) - np.sqrt(inv.k_minus)
+    if root_gap == 0.0:
+        raise cancellation_error(inv.k_plus, inv.k_minus)
     fidelity = 2.0 / root_gap**2 * disp
     return FidelityBreakdown(
         delta=inv.delta, gamma=inv.gamma, lam=inv.lam,

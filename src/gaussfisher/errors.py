@@ -31,3 +31,9 @@ def overflow_error(what: str) -> ChartDomainError:
     function would cost a call per evaluation.
     """
     return ChartDomainError(f"{what} overflows double precision")
+
+
+def cancellation_error(k_plus: float, k_minus: float) -> NumericalConsistencyError:
+    """The error a fidelity route raises where sqrt(k_plus) - sqrt(k_minus) rounds to 0."""
+    return NumericalConsistencyError(f"sqrt(k_plus) - sqrt(k_minus) rounds to 0 at "
+                                     f"k_plus = {k_plus:.6e}, k_minus = {k_minus:.6e}")

@@ -83,10 +83,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError, ValidationError
-from .states import MTS, STS, FamilyPoint, MtsParams, StsParams, _check_occupancies
+from .states import MTS, STS, FamilyPoint, _check_occupancies
 
 DEFAULT_MAX_DEFICIT = 1e-6
-DEFAULT_MAX_DEFECT = 1e-8
 UNIT_ROUNDOFF = 2.0 ** -53
 
 TOTAL = "n1+n2"       # conserved by the mode mixer
@@ -166,27 +165,11 @@ def _check_truncation(d) -> int:
     return int(d)
 
 
-def _thermal_spectrum(n1: float, n2: float, d: int, max_deficit: float):
-    """(d as an int, product thermal weights, trace deficit), checked."""
-    _check_occupancies(n1, n2)
-    d = _check_truncation(d)
-    # a NaN bound would pass every deficit, a negative one refuse every state
-    if not max_deficit >= 0.0:
-        raise ValidationError("max_deficit must be a non-negative number")
-    w = np.kron(_thermal_weights(n1, d), _thermal_weights(n2, d))
-    deficit = 1.0 - w.sum()
-    if deficit > max_deficit:
-        raise TruncationError(
-            f"trace deficit {deficit:.3e} exceeds {max_deficit:.1e}; raise d"
-        )
-    return d, w, deficit
-
-
 def thermal_dm(n1: float, n2: float, d: int,
                max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
-    """Two-mode thermal state as a product of geometric mixtures."""
-    d, w, deficit = _thermal_spectrum(n1, n2, d, max_deficit)
-    return FockDensity(d=d, spectrum=w, trace_deficit=deficit)
+    """Two-mode thermal state as a product of geometric mixtures: the
+    ``family_dm`` record of the thermal point."""
+    return family_dm(FamilyPoint.ts(n1, n2), d, max_deficit)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -345,69 +328,63 @@ def _assemble(d: int, conserved: str, stacks) -> np.ndarray:
     return out[:-1, :-1]
 
 
-def _gauged(d: int, conserved: str, stacks, psi: float) -> np.ndarray:
-    """Dense device unitary P O P^dag, P = diag(exp(-i psi n1))."""
-    p = np.exp(-1j * psi * (np.arange(d * d) // d))
-    return p[:, None] * _assemble(d, conserved, stacks) * p.conj()[None, :]
-
-
-def _bs_stacks(theta: float, phi: float, d: int):
-    MtsParams(0.0, 0.0, theta, phi)  # range validation
-    # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2);
-    # its phase is gauged out as psi = phi
-    return _sector_unitaries(d, TOTAL, 0.5 * theta)
-
-
-def _sq_stacks(r: float, phi: float, d: int, max_defect: float):
-    StsParams(0.0, 0.0, r, phi)  # range validation
-    if not max_defect >= 0.0:
-        raise ValidationError("max_defect must be a non-negative number")
-    # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2);
-    # its phase is gauged out as psi = -phi
-    stacks = _sector_unitaries(d, DIFFERENCE, -r)
-    # O is block-diagonal, so its defect is the largest block defect; the
-    # blocks of n1 - n2 < 0 repeat those of n1 - n2 > 0, and the stacks hold
-    # the blocks of n1 - n2 >= 0 plus exact identity pads, which add nothing
-    defect = max(unitarity_defect(x) for x in stacks)
-    if defect > max_defect:
-        raise TruncationError(
-            f"unitarity defect {defect:.3e} exceeds {max_defect:.1e}; raise d"
-        )
-    return stacks
+def _gauged(rho: FockDensity) -> np.ndarray:
+    """Dense device unitary P O P^dag of a device state's record,
+    P = diag(exp(-i phase n1))."""
+    d = rho.d
+    p = np.exp(-1j * rho.phase * (np.arange(d * d) // d))
+    return p[:, None] * _assemble(d, rho.conserved, rho.stacks) * p.conj()[None, :]
 
 
 def bs_unitary(theta: float, phi: float, d: int) -> np.ndarray:
-    """Mode-mixing unitary on the truncated two-mode Fock space."""
-    d = _check_truncation(d)
-    return _gauged(d, TOTAL, _bs_stacks(theta, phi, d), phi)
+    """Mode-mixing unitary on the truncated two-mode Fock space: the dense
+    P O P^dag of the ``family_dm`` record of the mode-mixed vacuum."""
+    return _gauged(family_dm(FamilyPoint.mts(0.0, 0.0, theta, phi), d))
 
 
-def sq_unitary(r: float, phi: float, d: int,
-               max_defect: float = DEFAULT_MAX_DEFECT) -> np.ndarray:
-    """Two-mode squeeze operator on the truncated space.
+def sq_unitary(r: float, phi: float, d: int) -> np.ndarray:
+    """Two-mode squeeze operator on the truncated space: the dense P O P^dag
+    of the ``family_dm`` record of the squeezed vacuum.
 
-    The truncated generator is still anti-Hermitian, so the exponential is
-    unitary to roundoff; the recorded defect is checked against
-    ``max_defect`` anyway, since squeezing does not conserve photon number
-    and the matrix only represents the true operator faithfully on states
-    far from the truncation boundary.
+    The truncated generator is a direct sum of real antisymmetric sector
+    blocks, so O is orthogonal up to the roundoff of the Pade kernel:
+    ``test_blocks_match_complex_expm`` bounds the unitarity defect of every
+    block at d = 40 by 5e-14, and a state's ``trace_deficit`` is at least
+    1 - Tr(O W O^T), where a loss of orthogonality would show. Squeezing
+    does not conserve photon number, so the matrix represents the true
+    operator faithfully only on states far from the truncation boundary.
     """
-    d = _check_truncation(d)
-    return _gauged(d, DIFFERENCE, _sq_stacks(r, phi, d, max_defect), -phi)
+    return _gauged(family_dm(FamilyPoint.sts(0.0, 0.0, r, phi), d))
 
 
 def family_dm(point: FamilyPoint, d: int,
               max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
-    """Spectral record of a family point's truncated density matrix."""
+    """Spectral record of a family point's truncated density matrix.
+
+    A device state's unitary is P O P^dag (see the module notes); its
+    record holds the sectoring, the exponentiated stacks of O at the
+    device's real coupling, and the phase psi of P.
+    """
     p = point.params
-    if point.tag not in (MTS, STS):
-        return thermal_dm(p.n1, p.n2, d, max_deficit=max_deficit)
-    d, w, thermal_deficit = _thermal_spectrum(p.n1, p.n2, d, max_deficit)
+    d = _check_truncation(d)
+    # a NaN bound would pass every deficit, a negative one refuse every state
+    if not max_deficit >= 0.0:
+        raise ValidationError("max_deficit must be a non-negative number")
+    w = np.kron(_thermal_weights(p.n1, d), _thermal_weights(p.n2, d))
+    thermal_deficit = 1.0 - w.sum()
+    if thermal_deficit > max_deficit:
+        raise TruncationError(
+            f"trace deficit {thermal_deficit:.3e} exceeds {max_deficit:.1e}; raise d"
+        )
     if point.tag == MTS:
-        conserved, stacks, psi = TOTAL, _bs_stacks(p.theta, p.phi, d), p.phi
+        # generator (theta/2)(e^{i phi} a1 a2^dag - e^{-i phi} a1^dag a2)
+        conserved, coupling, psi = TOTAL, 0.5 * p.theta, p.phi
+    elif point.tag == STS:
+        # generator r (e^{i phi} a1^dag a2^dag - e^{-i phi} a1 a2)
+        conserved, coupling, psi = DIFFERENCE, -p.r, -p.phi
     else:
-        conserved, stacks = DIFFERENCE, _sq_stacks(p.r, p.phi, d, DEFAULT_MAX_DEFECT)
-        psi = -p.phi
+        return FockDensity(d=d, spectrum=w, trace_deficit=thermal_deficit)
+    stacks = _sector_unitaries(d, conserved, coupling)
     # conjugation preserves the trace; the honest deficit is the thermal one.
     # Tr(U W U^dag) sums the squared column norms of O weighted by w, one
     # reduction per stack; the pads read the zero weight of the sentinel

@@ -125,8 +125,17 @@ def point_from_chart(tag: str, coords) -> FamilyPoint:
 
 
 def occupancy_qfi(n: float) -> float:
-    """Occupancy component H_occ(n) = 1/(n(n+1)) shared by all three families."""
-    return math.inf if n == 0.0 else 1.0 / (n * (n + 1.0))
+    """Occupancy component H_occ(n) = 1/(n(n+1)) shared by all three families.
+
+    Infinite at n = 0; for n > 0 a value that overflows to inf or underflows
+    to 0 raises ChartDomainError (equality tests, so sympy symbols pass).
+    """
+    if n == 0.0:
+        return math.inf
+    value = 1.0 / (n * (n + 1.0))
+    if value == math.inf or value == 0.0:
+        raise overflow_error(f"occupancy metric component at n = {float(n)!r}")
+    return value
 
 
 def occupancy_qfi_derivative(n: float) -> float:

@@ -101,6 +101,16 @@ class TestFidelityCommand:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_cancelled_closed_form_exits_2(self, tmp_path, capsys):
+        # both fidelity routes refuse the cancellation of sqrt(k_plus) -
+        # sqrt(k_minus): one error line, no traceback
+        path = write(tmp_path, "a.txt", "family = STS\nn1 = 1e8\nn2 = 1e8\nr = 0.5\nphi = 0.2\n")
+        assert cli.main(["fidelity", path, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sqrt(k_plus) - sqrt(k_minus) rounds to 0")
+        assert captured.err.count("\n") == 1
+
     def test_bad_tolerance_override_exits_2(self, tmp_path, capsys, tolerance_env):
         path = write(tmp_path, "a.txt", MTS_DOC)
         with pytest.raises(ValidationError):
@@ -219,8 +229,8 @@ class TestCurvatureCommand:
         assert captured.out == "" and "error" in captured.err
 
     def test_closed_overflow_reported(self, capsys):
-        # the other routes still report: warped overflows too, the pipeline's
-        # metric is not finite
+        # the other routes still report: warped overflows too, and so does the
+        # pipeline's occupancy component
         assert cli.main(["curvature", "STS", "1e200", "1", "--method", "all"]) == 0
         report = parse_report(capsys.readouterr().out)
         for key in ("curvature_closed", "curvature_pipeline", "curvature_warped"):
@@ -228,16 +238,16 @@ class TestCurvatureCommand:
         assert report["warning_0"] == ("closed_unavailable: scalar curvature at (n1, n2) = "
                                        "(1e+200, 1.0) overflows double precision")
         assert report["warning_1"].startswith("warped_unavailable: ")
-        assert report["warning_2"] == ("pipeline_unavailable: metric is not finite "
-                                       "at this point")
+        assert report["warning_2"] == ("pipeline_unavailable: occupancy metric component "
+                                       "at n = 1e+200 overflows double precision")
         assert "max_residual" not in report
 
     def test_pipeline_non_finite_metric(self, capsys):
         assert cli.main(["curvature", "MTS", "1e160", "1e159", "--method", "pipeline"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["curvature_pipeline"] == "unavailable"
-        assert report["warning_0"] == ("pipeline_unavailable: metric is not finite "
-                                       "at this point")
+        assert report["warning_0"] == ("pipeline_unavailable: occupancy metric component "
+                                       "at n = 1e+160 overflows double precision")
 
     def test_method_all_at_degenerate_point(self, capsys):
         assert cli.main(["curvature", "MTS", "0.5", "0.5", "--method", "all"]) == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gaussfisher import closed_form as cf
 from gaussfisher import core
 from gaussfisher import verification as v
-from gaussfisher.errors import ValidationError
+from gaussfisher.errors import NumericalConsistencyError, ValidationError
 from gaussfisher.states import FamilyPoint, MtsParams, StsParams, TsParams
 from gaussfisher.verification import random_mts, random_sts
 
@@ -148,3 +148,15 @@ class TestFidelitySpecial:
         assert v.self_fidelity(rng, 40, cf.fidelity_special) <= 1e-10
         # records differing by 1e-3 in a well-conditioned region stay below 1
         assert v.separated_records(rng, 20) < 0.0
+
+    @pytest.mark.parametrize("point", [FamilyPoint.ts(1e8, 1e8),
+                                       FamilyPoint.mts(1e8, 1e8, 0.5, 0.2),
+                                       FamilyPoint.sts(1e8, 1e8, 0.5, 0.2)],
+                             ids=["ts", "mts", "sts"])
+    def test_cancelled_self_pair_raises_consistency_error(self, point):
+        # past double precision the self-pair's invariants cancel: for TS and
+        # MTS k_plus - k_minus rounds below 2; for STS that gap stays large
+        # but sqrt(k_plus) - sqrt(k_minus) rounds to 0, which used to raise
+        # a bare ZeroDivisionError
+        with pytest.raises(NumericalConsistencyError):
+            cf.fidelity_special(point, point)

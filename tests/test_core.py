@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussfisher import core
-from gaussfisher.errors import ValidationError
+from gaussfisher.errors import NumericalConsistencyError, ValidationError
 from gaussfisher.states import FamilyPoint, TsParams, sq_symplectic, thermal_cov
 from gaussfisher.verification import fidelity_properties, random_physical_state
 
@@ -129,6 +129,14 @@ class TestFidelityTwoMode:
         a = FamilyPoint.ts(0.0, 0.0).to_state()
         b = FamilyPoint.ts(1.0, 1.0).to_state()
         assert core.fidelity_two_mode(a, b).fidelity == pytest.approx(0.25, rel=1e-12)
+
+    def test_cancelled_root_gap_raises_consistency_error(self):
+        # the STS self-pair at n1 = n2 = 1e8 keeps k_plus - k_minus >= 2, but
+        # sqrt(k_plus) - sqrt(k_minus) rounds to 0; it used to divide by zero
+        # and return an infinite fidelity
+        state = FamilyPoint.sts(1e8, 1e8, 0.5, 0.2).to_state()
+        with pytest.raises(NumericalConsistencyError, match="rounds to 0"):
+            core.fidelity_two_mode(state, state)
 
     def test_symmetry(self, rng):
         pairs = lambda r: (random_physical_state(r, True), random_physical_state(r, True))

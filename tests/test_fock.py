@@ -161,10 +161,9 @@ def exponentiated_generators(device, x, d):
     sqrt(m1) sqrt(m2)."""
     if device == "bs":
         conserved, coupling = fock.TOTAL, 0.5 * x
-        stacks = fock._bs_stacks(x, 0.0, d)
     else:
         conserved, coupling = fock.DIFFERENCE, -x
-        stacks = fock._sq_stacks(x, 0.0, d, 1.0)
+    stacks = fock._sector_unitaries(d, conserved, coupling)
     kron = kron_generator(device, x, d)
     units = fock._ladder_stacks(d, conserved)
     for s, j, idx in slices(d, conserved):
@@ -227,21 +226,19 @@ class TestBlockedUnitaries:
     @pytest.mark.parametrize("r, phi", [(0.2, 0.4), (0.9, -1.3), (1.5, 2.8)])
     def test_sq_matches_dense_expm(self, d, r, phi):
         reference = expm(dense_generator("sq", r, phi, d))
-        u = fock.sq_unitary(r, phi, d, max_defect=1.0)
-        assert np.abs(u - reference).max() <= 1e-13
+        assert np.abs(fock.sq_unitary(r, phi, d) - reference).max() <= 1e-13
 
-    def test_sq_defect_guard_still_applies(self):
-        with pytest.raises(TruncationError):
-            fock.sq_unitary(1.5, 0.3, 6, max_defect=0.0)
-
-    def test_rejects_nan_defect_bound(self):
-        # a NaN bound used to pass every unitary
-        with pytest.raises(ValidationError, match="max_defect"):
-            fock.sq_unitary(0.3, 0.1, 6, max_defect=math.nan)
-
-    def test_rejects_negative_defect_bound(self):
-        with pytest.raises(ValidationError, match="max_defect"):
-            fock.sq_unitary(0.3, 0.1, 6, max_defect=-1e-12)
+    @pytest.mark.parametrize("d", [6, 40])
+    @pytest.mark.parametrize("vacuum, helper", [(FamilyPoint.mts, fock.bs_unitary),
+                                                (FamilyPoint.sts, fock.sq_unitary)],
+                             ids=["bs", "sq"])
+    def test_dense_helpers_are_the_vacuum_record(self, vacuum, helper, d):
+        # the dense helpers and the spectral records share one map from a
+        # device setting to its (sectoring, coupling, phase)
+        rho = fock.family_dm(vacuum(0.0, 0.0, 0.9, -1.3), d)
+        p = np.exp(-1j * rho.phase * (np.arange(d * d) // d))
+        dense = p[:, None] * fock._assemble(d, rho.conserved, rho.stacks) * p.conj()[None, :]
+        assert np.array_equal(helper(0.9, -1.3, d), dense)
 
     @pytest.mark.parametrize("d", [6, 40])
     def test_squeezer_sectors_mirror(self, d):
@@ -249,7 +246,7 @@ class TestBlockedUnitaries:
         # slice serves both sectors through the two sides of its table (the
         # blocks themselves are checked against the dense expm above)
         every = fock.sectors(d, fock.DIFFERENCE)
-        stacks = fock._sq_stacks(0.9, -1.3, d, 1.0)
+        stacks = fock._sector_unitaries(d, fock.DIFFERENCE, -0.9)
         assert sum(x.shape[0] for x in stacks) == d
         for table in fock._stack_tables(d, fock.DIFFERENCE):
             for plus, minus in zip(*table):
@@ -301,18 +298,6 @@ class TestBlockedUnitaries:
             reference = np.array(mpmath.expm(mpmath.matrix(generator.tolist())).tolist(),
                                  dtype=float)
         assert np.abs(block - reference).max() <= 2e-14
-
-    @pytest.mark.parametrize("r", [0.4, 8.0])
-    def test_defect_guard_takes_largest_block_defect(self, r):
-        # the guard reads the defect off the padded stacks in one product each;
-        # it must be the largest defect of the blocks themselves
-        d = 40
-        stacks = fock._sq_stacks(r, 0.3, d, 1.0)
-        defect = max(fock.unitarity_defect(o)
-                     for _, o in sector_blocks(d, fock.DIFFERENCE, stacks))
-        assert fock._sq_stacks(r, 0.3, d, defect) is not None
-        with pytest.raises(TruncationError):
-            fock._sq_stacks(r, 0.3, d, float(np.nextafter(defect, 0.0)))
 
     @pytest.mark.parametrize("helper", [fock.bs_unitary, fock.sq_unitary], ids=["bs", "sq"])
     @pytest.mark.parametrize("d", [1, 2.5, math.inf, math.nan])

@@ -297,6 +297,7 @@ OVERFLOWING = {
     "qfi_closed_sts": lambda n: geometry.qfi_closed(states.FamilyPoint.sts(n, n / 10.0, 0.5, 0.2)),
     "jeffreys_mts": lambda n: geometry.jeffreys_prior(states.FamilyPoint.mts(n, n / 10.0, 1.0, 0.2)),
     "jeffreys_sts": lambda n: geometry.jeffreys_prior(states.FamilyPoint.sts(n, n / 10.0, 0.5, 0.2)),
+    "ts_metric": lambda n: geometry.ts_metric(n, n / 10.0),
 }
 
 
@@ -317,6 +318,26 @@ class TestOverflowRefused:
         for a, b in ((n1, n2), (np.float64(n1), np.float64(n2))):
             with pytest.raises(ChartDomainError, match="overflows double precision"):
                 cv.scalar_closed(tag, a, b)
+
+    @pytest.mark.parametrize("tag", ["MTS", "STS"])
+    @pytest.mark.parametrize("n", [5e-324, np.float64(5e-324)], ids=["float", "numpy"])
+    def test_subnormal_occupancy_refused(self, tag, n):
+        # 1/(n(n+1)) overflows to inf; on the MTS diagonal the device
+        # component vanishes, and the Jeffreys prior used to return nan
+        point = (states.FamilyPoint.mts(n, n, 0.4, 0.1) if tag == "MTS"
+                 else states.FamilyPoint.sts(n, n, 0.4, 0.1))
+        for evaluate in (geometry.jeffreys_prior, geometry.qfi_closed):
+            with pytest.raises(ChartDomainError, match="overflows double precision"):
+                evaluate(point)
+        with pytest.raises(ChartDomainError, match="overflows double precision"):
+            geometry.ts_metric(n, 1.0)
+
+    def test_occupancy_component_at_its_limits(self):
+        # the pole at zero stays, and representable values at both ends of
+        # the domain evaluate, a subnormal result included
+        assert geometry.occupancy_qfi(0.0) == math.inf
+        assert 0.0 < geometry.occupancy_qfi(1.3e154) < 1e-307
+        assert geometry.occupancy_qfi(1e-300) == pytest.approx(1e300)
 
     def test_poles_and_limits_still_evaluate(self):
         assert cv.scalar_closed("MTS", 0.0, 0.0) == math.inf
