@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, ValidationError, overflow_error
-from .geometry import FAMILY_METRICS, occupancy_qfi, occupancy_qfi_derivative
+from .geometry import _chart_family, occupancy_qfi, occupancy_qfi_derivative
 from .states import MTS, STS, _check_occupancies
 
 # occupancy of the unique stationary point of the STS curvature surface
@@ -253,9 +253,7 @@ def scalar_warped(family_tag: str, n1: float, n2: float) -> float:
     evaluation overflows double precision.
     """
     n1, n2 = _check_occupancies(n1, n2)
-    fam = FAMILY_METRICS.get(family_tag)
-    if fam is None:
-        raise ValidationError(f"no warped route for family {family_tag!r}")
+    fam = _chart_family(family_tag)
     u = fam.numerator(n1, n2)
     if u == 0.0:
         raise ChartDomainError("warped route is undefined on the MTS diagonal")
@@ -286,9 +284,7 @@ def fiber_field(family_tag: str) -> MetricField:
     The round two-sphere (F = sin, chart (theta, phi)) for MTS and the upper
     hyperboloid sheet (F = sinh, chart (2r, phi)) for STS.
     """
-    fam = FAMILY_METRICS.get(family_tag)
-    if fam is None:
-        raise ValidationError(f"no fiber for family {family_tag!r}")
+    fam = _chart_family(family_tag)
 
     def metric(x):
         return np.diag([1.0, fam.fiber(x[0]) ** 2])
@@ -331,9 +327,7 @@ def family_metric_field(family_tag: str) -> MetricField:
     the device numerator u (the MTS gap n1 - n2) away from zero, device
     coordinate away from the ends of its chart range.
     """
-    fam = FAMILY_METRICS.get(family_tag)
-    if fam is None:
-        raise ValidationError(f"no 4d metric field for family {family_tag!r}")
+    fam = _chart_family(family_tag)
     name = fam.coords[2]
     lo, hi = fam.device_range
 

@@ -51,11 +51,14 @@ ceil(D/2) and floor(D/2) indices, and the fidelity takes one singular
 value decomposition per class. The same identity gives the squared
 entries as (Oa o Oa)^T (Ob o Ob), o the elementwise product.
 
-Either way the squared row norms of the weighted product
-M = sqrt(Wa) (Oa^T Ob) sqrt(Wb), phases included, are wa o (S wb), S the
-squared moduli of the product (or (Oa o Oa)^T (Ob o Ob)), and its column
-norms likewise; their sum is the overlap Tr(rho_a rho_b). The thermal
-weights decay geometrically, so most of M lies below roundoff. The
+One pair evaluator serves both the fidelity and the overlap: it checks
+the truncations, picks the case, and returns S, the squared moduli of
+the product (or (Oa o Oa)^T (Ob o Ob)), as the operators v -> S v and
+v -> S^T v. The squared row norms of the weighted product
+M = sqrt(Wa) (Oa^T Ob) sqrt(Wb), phases included, are wa o (S wb), and
+its column norms likewise; the overlap Tr(rho_a rho_b) is the unpruned
+sum of those row norms, and the pruning below reads the same norms. The
+thermal weights decay geometrically, so most of M lies below roundoff. The
 pruning drops the lightest rows of M while their 2-norms sum to at most
 u ||M||_F / 2, u = 2^-53 the unit roundoff, then the lightest columns of
 what remains under the same budget, all read off those norms; a
@@ -67,7 +70,7 @@ sector blocks. Removing rows or columns raises no singular value
 at most the trace norm of what is removed; a removed row or column has
 rank one, so its trace norm is its 2-norm; and ||M||_1 >= ||M||_F. So
 the trace norm moves by at most u ||M||_1. The budget is fixed by u and
-is not an option; the overlap is not pruned.
+is not an option.
 
 The mixer's truncation is exact on the sectors n1 + n2 < d, which the
 truncation keeps whole; the squeezer's sectors are cut where the true
@@ -78,7 +81,7 @@ command only; the closed-form library never calls into it.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -163,13 +166,6 @@ def _check_truncation(d) -> int:
     if not (2 <= d < math.inf and int(d) == d):
         raise ValidationError("per-mode truncation must be an integer of at least 2")
     return int(d)
-
-
-def thermal_dm(n1: float, n2: float, d: int,
-               max_deficit: float = DEFAULT_MAX_DEFICIT) -> FockDensity:
-    """Two-mode thermal state as a product of geometric mixtures: the
-    ``family_dm`` record of the thermal point."""
-    return family_dm(FamilyPoint.ts(n1, n2), d, max_deficit)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -396,33 +392,39 @@ def family_dm(point: FamilyPoint, d: int,
                        conserved=conserved, stacks=stacks, phase=psi)
 
 
-def _inner_blocks(rho_a: FockDensity, rho_b: FockDensity):
-    """(row indices, column indices, block) of Ua^dag Ub, up to outer
-    diagonal phases, for each piece of a pair's product that survives the
-    unit-roundoff pruning of M = sqrt(Wa) (Ua^dag Ub) sqrt(Wb).
+def _pair(rho_a: FockDensity, rho_b: FockDensity):
+    """(S v, S^T v, classes, pieces) of a pair; refuses unequal truncations.
 
     Ua^dag Ub = Pa (Oa^T Pa^dag Pb Ob) Pb^dag, and the outer Pa, Pb^dag
-    commute with the spectra, so only the middle product is formed. States
-    that share a sectoring give one piece per stack: a batch of sector
-    blocks, each cut to its kept rows and columns, whose index arrays hold
-    the sentinel D = d^2 (weight zero) where a sector keeps fewer than the
-    batch (``_sector_blocks``); a thermal state fits either sectoring. A
-    mode-mixed x squeezed pair shares neither, but each of its sectors lies
-    inside one parity class of n1 + n2, so it gives one real piece of
-    Oa^T Ob per parity class (``_cross_blocks``; the relative phase
-    commutes outward, see the module notes). Rows and columns are chosen
-    from norms taken from the stacks, and only the kept blocks are formed.
+    commute with the spectra, so only the middle product matters. S holds
+    the squared moduli of its entries: the squared stack products
+    (``_sector_products``) for states that share a sectoring, a thermal
+    state fitting either; (Oa o Oa)^T (Ob o Ob), o the elementwise product,
+    for a mode-mixed x squeezed pair, applied from each state's squared
+    stacks with no product formed. The squared row norms of
+    M = sqrt(Wa) (middle product) sqrt(Wb) are then wa o (S wb), and the
+    overlap is their sum. ``classes`` are the index sets pruned apart (all
+    flat indices, or the two parity classes of n1 + n2), and
+    ``pieces(rows, cols)`` yields (row indices, column indices, block) of
+    the middle product on each class's kept rows and columns, up to outer
+    diagonal phases: a batch of sector blocks per stack
+    (``_sector_blocks``), or one real block per parity class
+    (``_cross_blocks``; the relative phase commutes outward, see the
+    module notes).
     """
-    if _is_cross(rho_a, rho_b):
-        return _cross_blocks(rho_a, rho_b)
-    return _sector_blocks(rho_a, rho_b)
-
-
-def _is_cross(rho_a: FockDensity, rho_b: FockDensity) -> bool:
-    """Whether the pair is mode-mixed x squeezed; refuses unequal truncations."""
     if rho_a.d != rho_b.d:
         raise ValidationError("density matrices have incompatible truncations")
-    return len({rho_a.conserved, rho_b.conserved} - {None}) > 1
+    d = rho_a.d
+    if len({rho_a.conserved, rho_b.conserved} - {None}) < 2:
+        tables, products, squares = _sector_products(rho_a, rho_b)
+        return (partial(_stack_times, tables, squares),
+                partial(_stack_times, tables, squares, transpose=True),
+                (np.arange(d * d),), partial(_sector_blocks, d, tables, products))
+    a, b = ((_stack_tables(d, rho.conserved), [x * x for x in rho.stacks])
+            for rho in (rho_a, rho_b))
+    return (lambda v: _stack_times(*a, _stack_times(*b, v), transpose=True),
+            lambda v: _stack_times(*b, _stack_times(*a, v), transpose=True),
+            sectors(d, PARITY), partial(_cross_blocks, rho_a, rho_b))
 
 
 def _stack_times(tables, squares, v: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -437,13 +439,6 @@ def _stack_times(tables, squares, v: np.ndarray, transpose: bool = False) -> np.
             sq = np.swapaxes(sq, 1, 2)
         out[table] = (sq @ v[table][..., None])[..., 0]
     return out[:-1]
-
-
-def _squares_times(rho: FockDensity, v: np.ndarray, transpose: bool = False):
-    """(O o O) v, or (O o O)^T v, over the flat indices, one stack at a
-    time; o is the elementwise product."""
-    return _stack_times(_stack_tables(rho.d, rho.conserved), [x * x for x in rho.stacks],
-                        v, transpose)
 
 
 def _sector_products(rho_a: FockDensity, rho_b: FockDensity):
@@ -473,23 +468,16 @@ def _sector_products(rho_a: FockDensity, rho_b: FockDensity):
     return _stack_tables(rho_a.d, conserved), products, squares
 
 
-def _sector_blocks(rho_a: FockDensity, rho_b: FockDensity):
-    """The pruned pieces of a pair on one sectoring, one batch per stack.
+def _sector_blocks(d: int, tables, products, class_rows, class_cols):
+    """The kept pieces of a pair on one sectoring, one batch per stack.
 
-    The squared row norms of M are wa o (S wb), S the squared moduli of the
-    stack products, and its column norms over the kept rows likewise; the
-    pruning runs over all sectors at once (``_kept``). Each stack's live
-    sectors, those that keep a row and a column, are cut to their kept rows
-    and columns, moved to the front, and padded with the sentinel to the
-    longest kept count of the stack.
+    ``class_rows`` and ``class_cols`` hold the kept rows and columns of its
+    one class, all flat indices. Each stack's live sectors, those that keep
+    a row and a column, are cut to their kept rows and columns, moved to
+    the front, and padded with the sentinel to the longest kept count of
+    the stack.
     """
-    d = rho_a.d
-    tables, products, squares = _sector_products(rho_a, rho_b)
-    wa, wb = rho_a.spectrum, rho_b.spectrum
-    (rows,), (cols,) = _kept(wa * _stack_times(tables, squares, wb),
-                             lambda kept_wa: wb * _stack_times(tables, squares, kept_wa,
-                                                               transpose=True),
-                             wa, (np.arange(d * d),))
+    (rows,), (cols,) = class_rows, class_cols
     kept_rows, kept_cols = np.zeros((2, d * d + 1), dtype=bool)
     kept_rows[rows] = kept_cols[cols] = True
     for table, parts in zip(tables, products):
@@ -515,51 +503,34 @@ def _kept_first(kept: np.ndarray, idx: np.ndarray, sentinel: int):
                         np.take_along_axis(idx, at, axis=1), sentinel)
 
 
-def _cross_row_norms(rho_a: FockDensity, rho_b: FockDensity,
-                     wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Squared row 2-norms of sqrt(diag wa) (Oa^T Ob) sqrt(diag wb) for a
-    mode-mixed x squeezed pair, over all flat indices.
-
-    Every entry of Oa^T Ob is one product Oa[m, i] Ob[m, j], so its square
-    is that of (Oa o Oa)^T (Ob o Ob), o the elementwise product, and the
-    row norms are wa o ((Oa o Oa)^T ((Ob o Ob) wb)): stack work only, no
-    product is formed. The column norms are the row norms of the swapped
-    pair.
-    """
-    return wa * _squares_times(rho_a, _squares_times(rho_b, wb), transpose=True)
-
-
-def _cross_blocks(rho_a: FockDensity, rho_b: FockDensity):
-    """The pruned parity-class pieces of a mode-mixed x squeezed pair."""
-    wa, wb = rho_a.spectrum, rho_b.spectrum
-    kept_rows, kept_cols = _kept(_cross_row_norms(rho_a, rho_b, wa, wb),
-                                 lambda kept_wa: _cross_row_norms(rho_b, rho_a, wb, kept_wa),
-                                 wa, sectors(rho_a.d, PARITY))
+def _cross_blocks(rho_a: FockDensity, rho_b: FockDensity, kept_rows, kept_cols):
+    """The kept parity-class pieces of a mode-mixed x squeezed pair."""
     columns_a, columns_b = _columns_by_n1(rho_a), _columns_by_n1(rho_b)
     for rows, cols in zip(kept_rows, kept_cols):
         if rows.size:
             yield rows, cols, _cross_entries(columns_a, columns_b, rows, cols)
 
 
-def _kept(row_sq: np.ndarray, column_sq, wa: np.ndarray, classes):
+def _kept(times, times_t, wa: np.ndarray, wb: np.ndarray, classes):
     """(kept rows, kept columns) of each class of flat indices of
     M = sqrt(Wa) (middle product) sqrt(Wb).
 
-    ``row_sq`` holds the squared row 2-norms of M, and ``column_sq(v)`` its
-    squared column norms with the row weights wa replaced by v. Each class
-    drops its lightest rows while their 2-norms sum to at most
-    u ||M_class||_F / 2; then, with wa zeroed off the kept rows of every
-    class (classes do not mix), its lightest columns under the same
-    budget. Every class's trace norm moves by at most u ||M_class||_1 (see
-    the module notes).
+    ``times`` and ``times_t`` apply S and S^T (see ``_pair``), so the
+    squared row 2-norms of M are wa o (S wb), and its squared column norms
+    over the kept rows (S^T kept_wa) o wb. Each class drops its lightest
+    rows while their 2-norms sum to at most u ||M_class||_F / 2; then, with
+    wa zeroed off the kept rows of every class (classes do not mix), its
+    lightest columns under the same budget. Every class's trace norm moves
+    by at most u ||M_class||_1 (see the module notes).
     """
+    row_sq = wa * times(wb)
     budgets = [0.5 * UNIT_ROUNDOFF * math.sqrt(row_sq[idx].sum()) for idx in classes]
     rows = [idx[_heavy(np.sqrt(row_sq[idx]), budget)]
             for idx, budget in zip(classes, budgets)]
     kept_wa = np.zeros_like(wa)
     for idx in rows:
         kept_wa[idx] = wa[idx]
-    col_sq = column_sq(kept_wa)
+    col_sq = wb * times_t(kept_wa)
     cols = [idx[_heavy(np.sqrt(col_sq[idx]), budget)]
             for idx, budget in zip(classes, budgets)]
     return rows, cols
@@ -622,21 +593,23 @@ def uhlmann_fidelity(rho_a: FockDensity, rho_b: FockDensity) -> float:
     outer unitaries,
     || Ua sqrt(Wa) Ua^dag Ub sqrt(Wb) Ub^dag ||_1
       = || sqrt(Wa) (Ua^dag Ub) sqrt(Wb) ||_1,
-    and under the outer diagonal phases that ``_inner_blocks`` strips from
-    the middle product. That product splits into its pieces: the sector
-    blocks when the states share a sectoring, one real piece per parity
-    class of n1 + n2 for a mode-mixed x squeezed pair. M is cut to the
-    rows and columns whose removal moves its trace norm by at most
-    u ||M||_1 (u = 2^-53, see the module notes), so the fidelity moves by
-    a relative 2u at most; they are chosen from row and column norms taken
-    from the stacks, and only the kept blocks are gathered and decomposed,
-    a stack's sector blocks in one batch.
+    and under the outer diagonal phases that ``_pair`` strips from the
+    middle product. That product splits into its pieces: the sector blocks
+    when the states share a sectoring, one real piece per parity class of
+    n1 + n2 for a mode-mixed x squeezed pair. M is cut to the rows and
+    columns whose removal moves its trace norm by at most u ||M||_1
+    (u = 2^-53, see the module notes), so the fidelity moves by a relative
+    2u at most; they are chosen from the row and column norms of ``_pair``,
+    and only the kept blocks are gathered and decomposed, a stack's sector
+    blocks in one batch.
     """
+    times, times_t, classes, pieces = _pair(rho_a, rho_b)
+    rows, cols = _kept(times, times_t, rho_a.spectrum, rho_b.spectrum, classes)
     # the sentinel index of the sector pieces reads weight zero
     sqrt_a = np.sqrt(np.append(rho_a.spectrum, 0.0))
     sqrt_b = np.sqrt(np.append(rho_b.spectrum, 0.0))
     return sum(_trace_norm(sqrt_a[rows][..., :, None] * block * sqrt_b[cols][..., None, :])
-               for rows, cols, block in _inner_blocks(rho_a, rho_b)) ** 2
+               for rows, cols, block in pieces(rows, cols)) ** 2
 
 
 def _trace_norm(m: np.ndarray) -> float:
@@ -648,17 +621,13 @@ def overlap_fock(rho_a: FockDensity, rho_b: FockDensity) -> float:
     """Tr(rho_a rho_b) on the truncated space.
 
     Tr(Ua Wa Ua^dag Ub Wb Ub^dag) = sum_ij Wa_i |(Ua^dag Ub)_ij|^2 Wb_j, the
-    sum of the squared row norms of sqrt(Wa) (Ua^dag Ub) sqrt(Wb), taken
-    without pruning and without a singular value decomposition: from the
-    squared moduli of the stack products for a pair on one sectoring, from
-    the stacks alone for a mode-mixed x squeezed pair
-    (``_cross_row_norms``), which forms no product.
+    sum of the squared row norms wa o (S wb) of
+    sqrt(Wa) (Ua^dag Ub) sqrt(Wb) that the fidelity's pruning starts from
+    (``_pair``), taken without pruning and without a singular value
+    decomposition.
     """
-    wa, wb = rho_a.spectrum, rho_b.spectrum
-    if _is_cross(rho_a, rho_b):
-        return float(_cross_row_norms(rho_a, rho_b, wa, wb).sum())
-    tables, _, squares = _sector_products(rho_a, rho_b)
-    return float((wa * _stack_times(tables, squares, wb)).sum())
+    times = _pair(rho_a, rho_b)[0]
+    return float((rho_a.spectrum * times(rho_b.spectrum)).sum())
 
 
 def spectral_fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float,

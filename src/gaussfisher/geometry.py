@@ -188,9 +188,7 @@ def ts_metric(n1: float, n2: float) -> MetricMatrix:
 
 def warping_function(tag: str, n1: float, n2: float) -> float:
     """Warping factor f(n1, n2): half the square root of the device component."""
-    fam = FAMILY_METRICS.get(tag)
-    if fam is None:
-        raise ValidationError(f"no warping function for family {tag!r}")
+    fam = _chart_family(tag)
     n1, n2 = _check_occupancies(n1, n2)
     if fam.denominator(n1, n2) == 0.0:
         raise ChartDomainError("warping undefined at the vacuum point")

@@ -26,7 +26,7 @@ class Tolerances:
     # the inequalities on delta, gamma and k_minus, and the imaginary or
     # negative residue of the complex edge determinants det(V + iJ/2)
     invariant: float = 1e-9
-    # square-root arguments this close below zero are clamped to zero
+    # core.distances accepts fidelities up to 1 + branch and reads them as 1
     branch: float = 1e-10
     # K_minus below this (scaled by 1 + sqrt(Delta)) is treated as exactly zero;
     # the fidelity branch point at K_minus = 0 amplifies absolute noise as

@@ -478,8 +478,8 @@ def commuting_spectral(rng, count):
     worst = []
     for _ in range(count):
         ns = rng.uniform(0.0, 0.6, 4)
-        uhl = fock.uhlmann_fidelity(fock.thermal_dm(ns[0], ns[1], 30),
-                                    fock.thermal_dm(ns[2], ns[3], 30))
+        uhl = fock.uhlmann_fidelity(fock.family_dm(FamilyPoint.ts(ns[0], ns[1]), 30),
+                                    fock.family_dm(FamilyPoint.ts(ns[2], ns[3]), 30))
         worst.append(abs(fock.spectral_fidelity_ts(*ns, n_terms=30) - uhl))
     return _worst(worst)
 

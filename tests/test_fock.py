@@ -53,32 +53,32 @@ CI_PAIR = (FamilyPoint.mts(0.3, 0.15, 1.2, 0.4), FamilyPoint.sts(0.2, 0.1, 0.3, 
 
 class TestThermalDm:
     def test_vacuum_projector(self):
-        rho = fock.thermal_dm(0.0, 0.0, 6)
+        rho = fock.family_dm(FamilyPoint.ts(0.0, 0.0), 6)
         expected = np.zeros((36, 36))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(dense_matrix(FamilyPoint.ts(0.0, 0.0), 6), expected)
         assert rho.trace_deficit == 0.0
 
     def test_single_mode_weights(self):
-        rho = fock.thermal_dm(1.0, 0.0, 30)
+        rho = fock.family_dm(FamilyPoint.ts(1.0, 0.0), 30)
         diag = np.diag(dense_matrix(FamilyPoint.ts(1.0, 0.0), 30)).real.reshape(30, 30)
         np.testing.assert_allclose(diag[:, 0], 0.5 ** (np.arange(30) + 1.0),
                                    rtol=1e-12)
         assert rho.trace_deficit < 1e-9
 
     def test_trace_monotone_in_truncation(self):
-        deficits = [fock.thermal_dm(0.8, 0.5, d, max_deficit=1.0).trace_deficit
+        deficits = [fock.family_dm(FamilyPoint.ts(0.8, 0.5), d, max_deficit=1.0).trace_deficit
                     for d in (8, 16, 32)]
         assert deficits[0] > deficits[1] > deficits[2] >= 0.0
 
     def test_deficit_guard(self):
         with pytest.raises(TruncationError):
-            fock.thermal_dm(5.0, 5.0, 3)
+            fock.family_dm(FamilyPoint.ts(5.0, 5.0), 3)
 
     @pytest.mark.parametrize("n1, n2", [(math.nan, 1.0), (1.0, math.inf), (-0.1, 0.2)])
     def test_rejects_bad_occupancies(self, n1, n2):
         with pytest.raises(ValidationError):
-            fock.thermal_dm(n1, n2, 6)
+            fock.family_dm(FamilyPoint.ts(n1, n2), 6)
 
     def test_rejects_nan_deficit_bound(self):
         # a NaN bound used to pass a state with trace deficit 7.4e-3
@@ -92,7 +92,7 @@ class TestThermalDm:
     @pytest.mark.parametrize("d", [2.5, math.inf, math.nan])
     def test_rejects_non_integer_truncation(self, d):
         with pytest.raises(ValidationError, match="integer of at least 2"):
-            fock.thermal_dm(0.3, 0.2, d, max_deficit=1.0)
+            fock.family_dm(FamilyPoint.ts(0.3, 0.2), d, max_deficit=1.0)
 
     def test_weights_helper_is_private(self):
         # the geometric weights checked neither occupancy nor truncation:
@@ -387,6 +387,14 @@ def sector_reference(a, b, rho_a, rho_b):
     return trace_norm ** 2, overlap
 
 
+def pruned_pieces(rho_a, rho_b):
+    """(row indices, column indices, block) of each piece whose trace norm
+    ``uhlmann_fidelity`` sums: the pair's pieces on its kept rows and
+    columns."""
+    times, times_t, classes, pieces = fock._pair(rho_a, rho_b)
+    return list(pieces(*fock._kept(times, times_t, rho_a.spectrum, rho_b.spectrum, classes)))
+
+
 class TestUhlmannFidelity:
     def test_identical_inputs(self):
         rho = fock.family_dm(FamilyPoint.mts(0.3, 0.2, 1.0, 0.5), 15)
@@ -398,7 +406,7 @@ class TestUhlmannFidelity:
         # a squeezed vacuum is the pure state |psi> = S |0, 0>
         pure = fock.family_dm(FamilyPoint.sts(0.0, 0.0, 0.4, 0.1), d)
         psi = fock.sq_unitary(0.4, 0.1, d)[:, 0]
-        mixed = fock.thermal_dm(0.3, 0.2, d)
+        mixed = fock.family_dm(FamilyPoint.ts(0.3, 0.2), d)
         thermal = dense_matrix(FamilyPoint.ts(0.3, 0.2), d)
         expectation = float((psi.conj() @ thermal @ psi).real)
         assert fock.uhlmann_fidelity(pure, mixed) == pytest.approx(
@@ -432,16 +440,21 @@ class TestUhlmannFidelity:
     @pytest.fixture
     def kept(self, monkeypatch):
         """(row indices, column indices) of each piece the oracle sums."""
-        pieces = []
-        inner_blocks = fock._inner_blocks
+        found = []
+        pair = fock._pair
 
         def recording(rho_a, rho_b):
-            for rows, cols, block in inner_blocks(rho_a, rho_b):
-                pieces.append((rows, cols))
-                yield rows, cols, block
+            times, times_t, classes, pieces = pair(rho_a, rho_b)
 
-        monkeypatch.setattr(fock, "_inner_blocks", recording)
-        return pieces
+            def recorded(kept_rows, kept_cols):
+                for rows, cols, block in pieces(kept_rows, kept_cols):
+                    found.append((rows, cols))
+                    yield rows, cols, block
+
+            return times, times_t, classes, recorded
+
+        monkeypatch.setattr(fock, "_pair", recording)
+        return found
 
     def test_cross_family_takes_parity_path(self, svd_inputs, kept):
         d = 16
@@ -537,7 +550,7 @@ class TestUhlmannFidelity:
         # is also all that the dense product of the class blocks sums to
         for pair in (CI_PAIR, CI_PAIR[::-1]):
             rho = [fock.family_dm(p, d) for p in pair]
-            pieces = list(fock._inner_blocks(*rho))
+            pieces = pruned_pieces(*rho)
             assert len(pieces) == 2
             for (rows, cols, block), (cls, inner) in zip(pieces, self.class_products(*rho)):
                 at_rows, at_cols = np.searchsorted(cls, rows), np.searchsorted(cls, cols)
@@ -553,8 +566,8 @@ class TestUhlmannFidelity:
             wa, wb = rho_a.spectrum, rho_b.spectrum
             # column norms are taken over the kept rows: zero some row weights
             kept_wa = np.where(rng.uniform(size=wa.size) < 0.5, wa, 0.0)
-            rows = fock._cross_row_norms(rho_a, rho_b, wa, wb)
-            cols = fock._cross_row_norms(rho_b, rho_a, wb, kept_wa)
+            times, times_t, _, _ = fock._pair(rho_a, rho_b)
+            rows, cols = wa * times(wb), wb * times_t(kept_wa)
             for cls, inner in self.class_products(rho_a, rho_b):
                 square = inner ** 2
                 np.testing.assert_allclose(rows[cls], wa[cls] * (square @ wb[cls]),
@@ -651,7 +664,7 @@ class TestUhlmannFidelity:
         rho_a, rho_b = fock.family_dm(a, d), fock.family_dm(b, d)
         sqrt_a, sqrt_b = (np.sqrt(np.append(r.spectrum, 0.0)) for r in (rho_a, rho_b))
         assert sqrt_a[d * d] == sqrt_b[d * d] == 0.0
-        for rows, cols, block in fock._inner_blocks(rho_a, rho_b):
+        for rows, cols, block in pruned_pieces(rho_a, rho_b):
             m = sqrt_a[rows][..., :, None] * block * sqrt_b[cols][..., None, :]
             assert not m[rows == d * d].any()
             assert not np.swapaxes(m, 1, 2)[cols == d * d].any()
@@ -689,9 +702,16 @@ class TestUhlmannFidelity:
         assert fock.overlap_fock(rho_a, rho_b) == pytest.approx(general.overlap, abs=1e-2)
 
     def test_incompatible_truncations_rejected(self):
-        with pytest.raises(ValidationError):
-            fock.uhlmann_fidelity(fock.thermal_dm(0.1, 0.1, 10),
-                                  fock.thermal_dm(0.1, 0.1, 12))
+        # every case of the pair evaluator refuses them, for both results
+        pairs = [(FamilyPoint.ts(0.1, 0.1),) * 2,
+                 SECTOR_PAIRS[SECTOR_IDS.index("mts")][:2],
+                 SECTOR_PAIRS[SECTOR_IDS.index("ts-sts")][:2],
+                 CI_PAIR]
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                for function in (fock.uhlmann_fidelity, fock.overlap_fock):
+                    with pytest.raises(ValidationError, match="incompatible truncations"):
+                        function(fock.family_dm(first, 16), fock.family_dm(second, 18))
 
 
 def with_phase(point, phi):
@@ -820,6 +840,6 @@ class TestSpectralThermal:
 
     def test_matches_uhlmann_on_commuting_states(self):
         spectral = fock.spectral_fidelity_ts(0.7, 0.3, 0.4, 0.9, 30)
-        uhlmann = fock.uhlmann_fidelity(fock.thermal_dm(0.7, 0.3, 30),
-                                        fock.thermal_dm(0.4, 0.9, 30))
+        uhlmann = fock.uhlmann_fidelity(fock.family_dm(FamilyPoint.ts(0.7, 0.3), 30),
+                                        fock.family_dm(FamilyPoint.ts(0.4, 0.9), 30))
         assert spectral == pytest.approx(uhlmann, abs=1e-8)
