@@ -28,12 +28,26 @@ _EIG_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 def symplectic_form() -> np.ndarray:
-    """The 4x4 symplectic form: block-diagonal with 2x2 blocks [[0,1],[-1,0]]."""
+    """The 4x4 symplectic form: block-diagonal with 2x2 blocks [[0,1],[-1,0]].
+
+    Each call returns a fresh writable array.
+    """
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((4, 4))
     out[:2, :2] = j2
     out[2:, 2:] = j2
     return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# read-only constants of the invariants and the physicality test
+_J = _frozen(symplectic_form())
+_HALF_IJ = _frozen(0.5j * _J)
+_QUARTER_I = _frozen(0.25 * np.eye(4))
 
 
 def validate_mean(mean, *, size: int = 4) -> np.ndarray:
@@ -66,13 +80,17 @@ class PhysicalityReport:
 def check_physical(cov) -> PhysicalityReport:
     """Uncertainty-relation check: V + (i/2)J must be positive semidefinite.
 
-    The smallest eigenvalue may undershoot zero by ``psd`` plus the
-    eigensolver roundoff, which grows with the entries of V.
+    The raw ``cov`` is validated first (:func:`validate_cov`). The smallest
+    eigenvalue may undershoot zero by ``psd`` plus the eigensolver
+    roundoff, which grows with the entries of V.
     """
     tol = current_tol()
-    cov = validate_cov(cov)
-    m = cov + 0.5j * symplectic_form()
-    eigs = np.linalg.eigvalsh(m)
+    return _physicality(validate_cov(cov), tol)
+
+
+def _physicality(cov: np.ndarray, tol) -> PhysicalityReport:
+    """:func:`check_physical` on a covariance matrix that is validated already."""
+    eigs = np.linalg.eigvalsh(cov + _HALF_IJ)
     # for a Hermitian matrix the spectral norm is the largest |eigenvalue|
     norm = max(abs(eigs[0]), abs(eigs[-1]))
     return PhysicalityReport(
@@ -83,15 +101,26 @@ def check_physical(cov) -> PhysicalityReport:
 
 @dataclass(frozen=True)
 class TwoModeGaussian:
-    """A two-mode Gaussian state: quadrature means and covariance matrix."""
+    """A two-mode Gaussian state: quadrature means and covariance matrix.
+
+    The mean and the covariance are validated once, on construction, and
+    the physicality test runs on that validated matrix. Both are stored as
+    read-only arrays of the state's own (the caller's arrays stay
+    writable), so the fidelity routes reuse them without validating again;
+    an in-place write raises ValueError.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", validate_mean(self.mean))
-        object.__setattr__(self, "cov", validate_cov(self.cov))
-        report = check_physical(self.cov)
+        # validate_mean may hand back the caller's own array, so copy it
+        mean = _frozen(validate_mean(self.mean).copy())
+        # validate_cov returns a new, symmetrized array
+        cov = _frozen(validate_cov(self.cov))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+        report = _physicality(cov, current_tol())
         if not report.physical:
             raise ValidationError(
                 f"covariance matrix is unphysical (min eigenvalue of V+iJ/2 is "
@@ -145,17 +174,21 @@ def compute_invariants(cov_a, cov_b) -> FidelityBreakdown:
 
     The exact inequalities delta >= 1, gamma >= delta, lam >= 0,
     k_minus >= 0 and k_plus - k_minus >= 2 are enforced up to a scaled
-    tolerance; violations raise :class:`NumericalConsistencyError`.
+    tolerance; violations raise :class:`NumericalConsistencyError`. Both
+    raw matrices are validated first (:func:`validate_cov`).
     """
     tol = current_tol()
     cov_a = validate_cov(cov_a)
     cov_b = validate_cov(cov_b)
-    j = symplectic_form()
+    return _invariants(cov_a, cov_b, tol)
 
+
+def _invariants(cov_a: np.ndarray, cov_b: np.ndarray, tol) -> FidelityBreakdown:
+    """:func:`compute_invariants` on covariance matrices that are validated already."""
     delta = float(np.linalg.det(cov_a + cov_b))
-    gamma = float(16.0 * np.linalg.det((j @ cov_a) @ (j @ cov_b) - 0.25 * np.eye(4)))
-    det_a = _real_edge_det(cov_a + 0.5j * j, tol)
-    det_b = _real_edge_det(cov_b + 0.5j * j, tol)
+    gamma = float(16.0 * np.linalg.det((_J @ cov_a) @ (_J @ cov_b) - _QUARTER_I))
+    det_a = _real_edge_det(cov_a + _HALF_IJ, tol)
+    det_b = _real_edge_det(cov_b + _HALF_IJ, tol)
     lam = 16.0 * det_a * det_b
 
     slack = tol.invariant
@@ -206,9 +239,10 @@ def fidelity_two_mode(state_a: TwoModeGaussian, state_b: TwoModeGaussian) -> Fid
     fidelity = 2 (sqrt(k_plus) - sqrt(k_minus))^-2 * displacement factor;
     overlap = Tr(rho' rho'') = delta^-1/2 * displacement factor. Where
     sqrt(k_plus) - sqrt(k_minus) rounds to zero, NumericalConsistencyError
-    is raised.
+    is raised. The invariants are read from the two states' covariance
+    matrices, which the states validated on construction.
     """
-    inv = compute_invariants(state_a.cov, state_b.cov)
+    inv = _invariants(state_a.cov, state_b.cov, current_tol())
     dv = state_a.mean - state_b.mean
     disp = _displacement_factor(dv, state_a.cov + state_b.cov)
     overlap = disp / np.sqrt(inv.delta)

@@ -39,7 +39,10 @@ class MetricField:
 
     ``metric`` maps a point to the (dim x dim) matrix; ``partials`` maps a
     point to the (dim, dim, dim) array of analytic coordinate derivatives
-    with ``partials(x)[k] = d g / d x_k``.
+    with ``partials(x)[k] = d g / d x_k``. The pipeline hands ``metric`` a
+    float vector and ``partials`` and ``domain_guard`` a list of Python
+    floats, so both must index the point rather than compute on it as an
+    array.
     """
 
     coords: tuple
@@ -81,15 +84,25 @@ def _christoffel_stack(fld: MetricField, points: np.ndarray):
     raised is the one a point-by-point pass raises first: each point's
     guard and metric, then its condition test, then its partials. A metric
     that is not finite fails its condition test with ChartDomainError.
+
+    The guard and the partials take the point as a list of Python floats,
+    which they evaluate several times faster than numpy scalars, to the
+    same bits. The metric keeps the numpy row: there an overflowing
+    device component shows as a non-finite metric ("metric is not finite
+    at this point"), where on floats its ``**`` would raise "device metric
+    component ... overflows" first. A partial that raises on floats where
+    numpy would overflow quietly is re-raised only after every metric up
+    to its point has passed the finite and condition tests.
     """
     metrics, partials, failure = [], [], None
     # an overflowing numpy scalar shows as a non-finite metric, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for x in points:
             try:
-                fld.check_domain(x)
+                coords = x.tolist()
+                fld.check_domain(coords)
                 metrics.append(fld.metric(x))
-                partials.append(fld.partials(x))
+                partials.append(fld.partials(coords))
             except Exception as exc:  # re-raised below unless an earlier metric fails
                 failure = exc
                 break

@@ -69,9 +69,17 @@ class FamilyMetric:
             raise overflow_error(f"device metric component at (n1, n2) = ({n1!r}, {n2!r})") from None
 
     def components(self, n1: float, n2: float, x: float) -> tuple:
-        """The four QFI components at occupancies (n1, n2) and device coordinate x."""
+        """The four QFI components at occupancies (n1, n2) and device coordinate x.
+
+        Raises ChartDomainError where F(x)^2 overflows double precision
+        (the STS fiber sinh(x)^2 from x near 355 on).
+        """
         h_dev = self.device(n1, n2)
-        return occupancy_qfi(n1), occupancy_qfi(n2), h_dev, h_dev * self.fiber(x) ** 2
+        try:
+            fiber = h_dev * self.fiber(x) ** 2
+        except OverflowError:
+            raise overflow_error(f"fiber metric component at x = {float(x)!r}") from None
+        return occupancy_qfi(n1), occupancy_qfi(n2), h_dev, fiber
 
 
 # MTS: beam splitter, unit-sphere fiber (theta, phi); STS: two-mode squeezer,

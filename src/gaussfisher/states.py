@@ -149,32 +149,38 @@ def bs_symplectic(theta: float, phi: float) -> np.ndarray:
     """Symplectic-orthogonal 4x4 matrix of a beam splitter.
 
     Blocks: cos(theta/2) I on the diagonal, -sin(theta/2) R(-phi) and
-    sin(theta/2) R(phi) off the diagonal.
+    sin(theta/2) R(phi) off the diagonal. The entries are the products of
+    ``c I`` and ``s R`` (see :func:`rotation2`) taken on Python floats, so
+    a zero of ``c I`` is -0.0 where cos(theta/2) < 0.
     """
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    out = np.zeros((4, 4))
-    out[:2, :2] = c * np.eye(2)
-    out[2:, 2:] = c * np.eye(2)
-    out[:2, 2:] = -s * rotation2(-phi)
-    out[2:, :2] = s * rotation2(phi)
-    return out
+    cm, sm = math.cos(-phi), math.sin(-phi)
+    cp, sp = math.cos(phi), math.sin(phi)
+    z = c * 0.0
+    return np.array([
+        [c, z, -s * cm, -s * -sm],
+        [z, c, -s * sm, -s * cm],
+        [s * cp, s * -sp, c, z],
+        [s * sp, s * cp, z, c],
+    ])
 
 
 def sq_symplectic(r: float, phi: float) -> np.ndarray:
     """Symmetric symplectic 4x4 matrix of a two-mode squeezer.
 
     Diagonal blocks cosh(r) I; off-diagonal blocks
-    sinh(r) (cos(phi) sigma_3 + sin(phi) sigma_1).
+    sinh(r) (cos(phi) sigma_3 + sin(phi) sigma_1). The entries are the
+    products of ``ch I`` and ``sh sigma`` taken on Python floats.
     """
     ch, sh = math.cosh(r), math.sinh(r)
     c, s = math.cos(phi), math.sin(phi)
-    off = sh * np.array([[c, s], [s, -c]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = ch * np.eye(2)
-    out[2:, 2:] = ch * np.eye(2)
-    out[:2, 2:] = off
-    out[2:, :2] = off
-    return out
+    z = ch * 0.0
+    return np.array([
+        [ch, z, sh * c, sh * s],
+        [z, ch, sh * s, sh * -c],
+        [sh * c, sh * s, ch, z],
+        [sh * s, sh * -c, z, ch],
+    ])
 
 
 def family_cov(point: FamilyPoint) -> np.ndarray:

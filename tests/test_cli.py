@@ -453,6 +453,34 @@ class TestParser:
         assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+class TestFiberOverflow:
+    # sinh(2r)^2 overflows at r = 200, and sinh(2r) itself at r = 400: one
+    # error line or an unavailable route, and no traceback
+    def run(self, tmp_path, *argv):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "gaussfisher", *argv], capture_output=True,
+                              text=True, env=env, timeout=120, cwd=tmp_path)
+
+    def test_metric_exits_2(self, tmp_path):
+        doc = write(tmp_path, "a.txt", "family = STS\nn1 = 2\nn2 = 1\nr = 200\nphi = 0\n")
+        proc = self.run(tmp_path, "metric", doc)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: fiber metric component at x = 400.0 "
+                               "overflows double precision\n")
+
+    @pytest.mark.parametrize("method, r", [("pipeline", "200"), ("all", "400")])
+    def test_curvature_reports_pipeline_unavailable(self, tmp_path, method, r):
+        proc = self.run(tmp_path, "curvature", "STS", "2", "1", "--method", method,
+                        "--device", r, "0")
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = parse_report(proc.stdout)
+        assert report["curvature_pipeline"] == "unavailable"
+        assert report["warning_0"] == (f"pipeline_unavailable: fiber metric component at "
+                                       f"x = {2.0 * float(r)!r} overflows double precision")
+
+
 class TestClosedStdout:
     # a reader that leaves early (``gaussfisher verify all | head -3``) must
     # not draw a BrokenPipeError traceback; the pipe here is closed before

@@ -10,11 +10,22 @@ from hypothesis import strategies as st
 from gaussfisher import core
 from gaussfisher.errors import NumericalConsistencyError, ValidationError
 from gaussfisher.states import FamilyPoint, TsParams, sq_symplectic, thermal_cov
-from gaussfisher.verification import fidelity_properties, random_physical_state
+from gaussfisher.verification import (fidelity_properties, random_mts, random_physical_state,
+                                      random_sts)
 
 
 def thermal4(n1, n2):
     return thermal_cov(TsParams(n1, n2))
+
+
+def asymmetric4():
+    bad = 0.5 * np.eye(4)
+    bad[0, 1] = 1e-6
+    return bad
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
 
 
 class TestSymplecticForm:
@@ -158,6 +169,89 @@ class TestFidelityTwoMode:
             assert core.check_physical(pure.cov).min_eigenvalue == pytest.approx(0.0, abs=1e-12)
             out = core.fidelity_two_mode(pure, mixed)
             assert out.fidelity == pytest.approx(out.overlap, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=NumericalConsistencyError,
+                       reason="the edge-determinant residue bound does not scale with "
+                              "entries near 4e12 (ROADMAP item 1)")
+    def test_large_squeezed_self_pair_is_one(self):
+        # raises "edge determinant has imaginary residue -2.751e+14"; a route
+        # with full relative precision at large squeeze makes this pass
+        state = FamilyPoint.sts(1e6, 0.0, 8.0, 0.3).to_state()
+        assert core.fidelity_two_mode(state, state).fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+class TestValidatedOnce:
+    @pytest.mark.parametrize("cov, message", [
+        (np.full((4, 4), math.nan), "non-finite entries"),
+        (np.diag([math.inf, 1.0, 1.0, 1.0]), "non-finite entries"),
+        (asymmetric4(), "not symmetric"),
+        (np.eye(3), "must be 4x4"),
+        (np.zeros((4, 4)), "unphysical"),
+        (0.25 * np.eye(4), "unphysical"),
+    ], ids=["nan", "inf", "asymmetric", "shape", "zero", "quarter_identity"])
+    def test_state_refuses_bad_covariance(self, cov, message):
+        with pytest.raises(ValidationError, match=message):
+            core.TwoModeGaussian(mean=np.zeros(4), cov=cov)
+
+    def test_state_symmetrizes_within_slack(self):
+        cov = 0.5 * np.eye(4)
+        cov[0, 1] = 1e-13
+        state = core.TwoModeGaussian(mean=np.zeros(4), cov=cov)
+        assert state.cov[0, 1] == state.cov[1, 0] == 0.5e-13
+
+    @pytest.mark.parametrize("mean, message", [
+        (np.zeros(3), "shape"), ([math.nan, 0.0, 0.0, 0.0], "non-finite"),
+        ([0.0, 0.0, -math.inf, 0.0], "non-finite"),
+    ], ids=["three", "nan", "inf"])
+    def test_state_refuses_bad_mean(self, mean, message):
+        with pytest.raises(ValidationError, match=message):
+            core.TwoModeGaussian(mean=mean, cov=0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("route", [
+        core.check_physical,
+        lambda cov: core.compute_invariants(cov, 0.5 * np.eye(4)),
+        lambda cov: core.compute_invariants(0.5 * np.eye(4), cov),
+    ], ids=["check_physical", "invariants_first", "invariants_second"])
+    @pytest.mark.parametrize("cov, message", [
+        (asymmetric4(), "not symmetric"), (np.full((4, 4), math.nan), "non-finite"),
+    ], ids=["asymmetric", "nan"])
+    def test_public_routes_validate_raw_input(self, route, cov, message):
+        with pytest.raises(ValidationError, match=message):
+            route(cov)
+
+    def test_state_arrays_are_read_only(self):
+        mean = np.array([0.1, 0.0, -0.2, 0.0])
+        cov = thermal4(0.7, 0.2)
+        state = core.TwoModeGaussian(mean=mean, cov=cov)
+        with pytest.raises(ValueError):
+            state.cov[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.mean[0] = 1.0
+        # the caller's arrays are neither frozen nor shared
+        mean[0] = 5.0
+        cov[0, 0] = 5.0
+        assert state.mean[0] == 0.1 and state.cov[0, 0] == 1.2
+        # a state's own arrays are valid input for a new state
+        again = core.TwoModeGaussian(mean=state.mean, cov=state.cov)
+        assert np.array_equal(again.cov, state.cov) and not again.cov.flags.writeable
+
+    def test_symplectic_form_is_fresh_and_writable(self):
+        first = core.symplectic_form()
+        assert first.flags.writeable
+        first[0, 1] = 7.0
+        second = core.symplectic_form()
+        assert second is not first and second[0, 1] == 1.0 and second.flags.writeable
+
+    def test_fidelity_reads_the_public_invariants(self, rng):
+        pairs = [(random_physical_state(rng, displaced=True),
+                  random_physical_state(rng, displaced=True)) for _ in range(40)]
+        for draw in (random_mts, random_sts):
+            pairs += [(draw(rng).to_state(), draw(rng).to_state()) for _ in range(30)]
+        for a, b in pairs:
+            got = core.fidelity_two_mode(a, b)
+            ref = core.compute_invariants(a.cov, b.cov)
+            assert bits(got.delta, got.gamma, got.lam, got.k_plus, got.k_minus) == bits(
+                ref.delta, ref.gamma, ref.lam, ref.k_plus, ref.k_minus)
 
 
 class TestFidelityOneMode:

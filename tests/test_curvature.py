@@ -1,6 +1,7 @@
 """Tests for the curvature pipeline, closed forms and the warped route."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,3 +388,53 @@ class TestStackedPass:
     def test_non_finite_metric_refused(self, route, fld, x):
         with pytest.raises(ChartDomainError, match="^metric is not finite at this point$"):
             route(fld, x)
+
+
+# each pipeline field with a sampler of points inside its domain guard
+IN_DOMAIN_FIELDS = {
+    "family_mts": (lambda: cv.family_metric_field("MTS"),
+                   lambda rng: [rng.uniform(1.0, 3.0), rng.uniform(0.01, 0.9),
+                                rng.uniform(0.06, 3.08), rng.uniform(-3.0, 3.0)]),
+    "family_sts": (lambda: cv.family_metric_field("STS"),
+                   lambda rng: [*rng.uniform(0.01, 3.0, 2), rng.uniform(0.06, 6.0),
+                                rng.uniform(-3.0, 3.0)]),
+    "thermal": (cv.thermal_field, lambda rng: rng.uniform(0.01, 5.0, 2)),
+    "fiber_mts": (lambda: cv.fiber_field("MTS"),
+                  lambda rng: [rng.uniform(0.05, 3.1), rng.uniform(-3.0, 3.0)]),
+    "fiber_sts": (lambda: cv.fiber_field("STS"),
+                  lambda rng: [rng.uniform(0.01, 8.0), rng.uniform(-3.0, 3.0)]),
+}
+
+
+class TestFloatPoints:
+    """The pipeline hands guards and partials a list of Python floats."""
+
+    @pytest.mark.parametrize("name", sorted(IN_DOMAIN_FIELDS))
+    def test_partials_bit_identical_on_floats(self, name):
+        make, draw = IN_DOMAIN_FIELDS[name]
+        fld = make()
+        rng = np.random.default_rng(sorted(IN_DOMAIN_FIELDS).index(name) + 100)
+        for _ in range(200):
+            x = np.array(draw(rng))
+            fld.check_domain(x.tolist())
+            on_floats = fld.partials(x.tolist())
+            assert on_floats.tobytes() == fld.partials(x).tobytes()
+
+    # float partials leave the first error at these points as it is
+    @pytest.mark.parametrize("tag, x, message", [
+        ("MTS", [1e160, 1e159, 1.0, 0.0],
+         "occupancy metric component at n = 1e+160 overflows double precision"),
+        ("STS", [1e200, 1.0, 1.0, 0.0],
+         "occupancy metric component at n = 1e+200 overflows double precision"),
+        ("STS", [0.7e154, 0.7e154, 1.0, 0.0], "metric is not finite at this point"),
+    ], ids=["mts_occupancy", "sts_occupancy", "sts_device"])
+    def test_overflow_messages_unchanged(self, tag, x, message):
+        with pytest.raises(ChartDomainError, match=f"^{re.escape(message)}$"):
+            cv.scalar_curvature_pipeline(cv.family_metric_field(tag), x)
+
+    @pytest.mark.parametrize("x", [360.0, 400.0, 800.0])
+    def test_fiber_overflow_refused(self, x):
+        # sinh(x)^2 overflows at the centre, from x near 355 on
+        with pytest.raises(ChartDomainError, match=(
+                f"^fiber metric component at x = {x!r} overflows double precision$")):
+            cv.scalar_curvature_pipeline(cv.family_metric_field("STS"), [2.0, 1.0, x, 0.0])

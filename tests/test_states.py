@@ -89,6 +89,58 @@ class TestSqSymplectic:
         assert np.linalg.det(s) == pytest.approx(1.0, rel=1e-10)
 
 
+def blockwise_bs(theta, phi):
+    """bs_symplectic assembled block by block from numpy products."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    out = np.zeros((4, 4))
+    out[:2, :2] = c * np.eye(2)
+    out[2:, 2:] = c * np.eye(2)
+    out[:2, 2:] = -s * states.rotation2(-phi)
+    out[2:, :2] = s * states.rotation2(phi)
+    return out
+
+
+def blockwise_sq(r, phi):
+    """sq_symplectic assembled block by block from numpy products."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    c, s = math.cos(phi), math.sin(phi)
+    off = sh * np.array([[c, s], [s, -c]])
+    out = np.zeros((4, 4))
+    out[:2, :2] = ch * np.eye(2)
+    out[2:, 2:] = ch * np.eye(2)
+    out[:2, 2:] = off
+    out[2:, :2] = off
+    return out
+
+
+class TestSymplecticBits:
+    """The float-built device matrices equal the block assembly entry for
+    entry, the sign of every zero included."""
+
+    @staticmethod
+    def assert_same_bits(got, ref):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_seeded_draws(self):
+        draws = np.random.default_rng(25).uniform(-7.0, 7.0, (3000, 3))
+        # |theta| > pi gives cos(theta/2) < 0, where c I carries -0.0
+        assert (np.cos(draws[:, 0] / 2.0) < 0.0).sum() > 500
+        for theta, phi, r in draws:
+            for args in ((theta, phi, r), (float(theta), float(phi), float(r))):
+                self.assert_same_bits(states.bs_symplectic(*args[:2]), blockwise_bs(*args[:2]))
+                self.assert_same_bits(states.sq_symplectic(args[2], args[1]),
+                                      blockwise_sq(args[2], args[1]))
+
+    @pytest.mark.parametrize("a, phi", [
+        (0.0, 0.0), (-0.0, -0.0), (0.0, math.pi), (2.0 * math.pi, 0.0),
+        (3.0 * math.pi, -0.0), (-3.0 * math.pi, math.pi / 2.0), (math.pi, -math.pi / 2.0),
+    ])
+    def test_signed_zeros(self, a, phi):
+        self.assert_same_bits(states.bs_symplectic(a, phi), blockwise_bs(a, phi))
+        self.assert_same_bits(states.sq_symplectic(a, phi), blockwise_sq(a, phi))
+
+
 class TestFamilyCov:
     def test_balanced_input_ignores_splitter(self, rng):
         for _ in range(20):
@@ -331,6 +383,20 @@ class TestOverflowRefused:
                 evaluate(point)
         with pytest.raises(ChartDomainError, match="overflows double precision"):
             geometry.ts_metric(n, 1.0)
+
+    @pytest.mark.parametrize("r, x", [(178.0, "356.0"), (200.0, "400.0"), (400.0, "800.0")])
+    @pytest.mark.parametrize("to_number", [float, np.float64], ids=["float", "numpy"])
+    def test_fiber_component_refused(self, r, x, to_number):
+        # sinh(2r)^2 overflows from 2r near 355 on, and sinh itself past 710
+        point = states.FamilyPoint.sts(2.0, 1.0, to_number(r), 0.0)
+        message = f"^fiber metric component at x = {x} overflows double precision$"
+        for evaluate in (geometry.qfi_closed, geometry.jeffreys_prior):
+            with pytest.raises(ChartDomainError, match=message):
+                evaluate(point)
+
+    def test_fiber_component_below_its_limit(self):
+        h = geometry.qfi_closed(states.FamilyPoint.sts(2.0, 1.0, 177.0, 0.0)).h
+        assert h["phi"] == pytest.approx(2.0 * math.sinh(354.0) ** 2)
 
     def test_occupancy_component_at_its_limits(self):
         # the pole at zero stays, and representable values at both ends of
