@@ -15,10 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import fidelity_special
+from .closed_form import fidelity_from_k, k_pair_mts, k_pair_sts, pair_k
 from .errors import ChartDomainError, NumericalConsistencyError, ValidationError, overflow_error
 from .states import (MTS, STS, TS, FamilyPoint, MtsParams, StsParams, _check_occupancies,
                      separability_threshold)
+from .tolerances import current as current_tol
 
 MTS_COORDS = ("n1", "n2", "theta", "phi")
 STS_COORDS = ("n1", "n2", "2r", "phi")
@@ -71,14 +72,21 @@ class FamilyMetric:
     def components(self, n1: float, n2: float, x: float) -> tuple:
         """The four QFI components at occupancies (n1, n2) and device coordinate x.
 
-        Raises ChartDomainError where F(x)^2 overflows double precision
-        (the STS fiber sinh(x)^2 from x near 355 on).
+        Raises ChartDomainError where the fiber component H_dev F(x)^2
+        overflows double precision: where F(x)^2 does (the STS fiber
+        sinh(x)^2 from x near 355 on), and where the product does although
+        neither factor does. An H_dev that is already inf, as on the
+        numpy rows of the curvature pipeline, is left to the caller.
         """
         h_dev = self.device(n1, n2)
         try:
             fiber = h_dev * self.fiber(x) ** 2
+            # equality tests, so sympy symbols pass
+            overflowed = fiber == math.inf and h_dev != math.inf
         except OverflowError:
-            raise overflow_error(f"fiber metric component at x = {float(x)!r}") from None
+            overflowed = True
+        if overflowed:
+            raise overflow_error(f"fiber metric component at x = {float(x)!r}")
         return occupancy_qfi(n1), occupancy_qfi(n2), h_dev, fiber
 
 
@@ -110,6 +118,14 @@ def chart_coords(point: FamilyPoint) -> np.ndarray:
     return np.array([p.n1, p.n2, _chart_family(point.tag).chart_device(p), p.phi])
 
 
+def _wrap_phi(phi: float) -> float:
+    """phi wrapped into (-pi, pi]."""
+    phi = math.remainder(phi, 2.0 * math.pi)
+    if phi <= -math.pi:
+        phi += 2.0 * math.pi
+    return phi
+
+
 def point_from_chart(tag: str, coords) -> FamilyPoint:
     """Inverse of :func:`chart_coords`; phi is wrapped into (-pi, pi].
 
@@ -122,9 +138,7 @@ def point_from_chart(tag: str, coords) -> FamilyPoint:
         raise ValidationError(f"a point on the {tag} chart needs four coordinates") from None
     if not math.isfinite(phi):
         raise ValidationError("phi must be finite")
-    phi = math.remainder(phi, 2.0 * math.pi)
-    if phi <= -math.pi:
-        phi += 2.0 * math.pi
+    phi = _wrap_phi(phi)
     # built from the parameter records: the coordinates are floats already,
     # so the constructors' numpy conversion has nothing to do here
     if tag == MTS:
@@ -231,6 +245,26 @@ def numeric_metric(point: FamilyPoint) -> MetricMatrix:
     occupancy must stay positive over its own stencil (n_k > 2 h_k).
     The first-derivative stencil must vanish to within tolerance, otherwise
     a :class:`NumericalConsistencyError` is raised.
+
+    Each stencil row is handed to the closed form's own (k_plus, k_minus)
+    algebra as floats, with phi wrapped and the STS chart coordinate 2r
+    halved as :func:`point_from_chart` does, and through the same
+    :func:`~gaussfisher.closed_form.fidelity_from_k` as
+    :func:`~gaussfisher.closed_form.fidelity_special`: the values are those
+    of fidelity_special(point, point_from_chart(row)), bit for bit, with no
+    record per row. A row moves coordinate k by at most 2 h_k, so the
+    checks its record would make hold already:
+
+    - n_k stays positive by the interior guard (n_k > 2 h_k);
+    - theta stays in (0, pi) by the guard 2 h < theta < pi - 2 h; on
+      floats the guard also keeps theta + 2 h below pi (checked for every
+      float theta near the guard's upper end);
+    - r stays positive by the guard 2r > 2 h;
+    - phi starts in (-pi, pi], so with h_phi <= 1e-3 pi it stays finite,
+      and the wrap puts it back into (-pi, pi];
+    - every coordinate stays finite unless xi_k + 2 h_k overflows (n_k or
+      2r near the largest double). Only there is each row checked by
+      building its record, which raises where the record path always has.
     """
     if point.tag == TS:
         raise ChartDomainError("numeric metric is defined on the 4d charts")
@@ -238,15 +272,27 @@ def numeric_metric(point: FamilyPoint) -> MetricMatrix:
     h = [RELATIVE_STEP * max(1.0, abs(c)) for c in coords]
     _interior_guard(point, h)
 
-    if abs(fidelity_special(point, point) - 1.0) > 1e-12:
+    slack = current_tol().invariant
+    if abs(fidelity_from_k(*pair_k(point, point), slack) - 1.0) > 1e-12:
         raise NumericalConsistencyError("fidelity at zero displacement is not 1")
 
+    centre = point.params
+    c_n1, c_n2, c_dev, c_phi = coords
+    k_pair = k_pair_mts if point.tag == MTS else k_pair_sts
+    halve = point.tag == STS
+    rows_finite = all(c + 2.0 * s < math.inf for c, s in zip(coords, h))
+
     def quad_form(w: list) -> float:
-        f = [
-            math.sqrt(fidelity_special(point, point_from_chart(
-                point.tag, [c + t * wc for c, wc in zip(coords, w)])))
-            for t in (-2.0, -1.0, 1.0, 2.0)
-        ]
+        w_n1, w_n2, w_dev, w_phi = w
+        f = []
+        for t in (-2.0, -1.0, 1.0, 2.0):
+            n1, n2, device, phi = (c_n1 + t * w_n1, c_n2 + t * w_n2,
+                                   c_dev + t * w_dev, c_phi + t * w_phi)
+            if not rows_finite:
+                point_from_chart(point.tag, (n1, n2, device, phi))
+            k_plus, k_minus = k_pair(centre, n1, n2, device / 2.0 if halve else device,
+                                     _wrap_phi(phi))
+            f.append(math.sqrt(fidelity_from_k(k_plus, k_minus, slack)))
         first = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / 12.0
         if abs(first) > FIRST_DERIVATIVE_TOL:
             raise NumericalConsistencyError(

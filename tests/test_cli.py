@@ -470,6 +470,14 @@ class TestFiberOverflow:
         assert proc.stderr == ("error: fiber metric component at x = 400.0 "
                                "overflows double precision\n")
 
+    def test_metric_product_overflow_exits_2(self, tmp_path):
+        # H_dev and sinh(2r)^2 are finite at n1 = 1e100, r = 170; their product is not
+        doc = write(tmp_path, "a.txt", "family = STS\nn1 = 1e100\nn2 = 1\nr = 170\nphi = 0\n")
+        proc = self.run(tmp_path, "metric", doc)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: fiber metric component at x = 340.0 "
+                               "overflows double precision\n")
+
     @pytest.mark.parametrize("method, r", [("pipeline", "200"), ("all", "400")])
     def test_curvature_reports_pipeline_unavailable(self, tmp_path, method, r):
         proc = self.run(tmp_path, "curvature", "STS", "2", "1", "--method", method,

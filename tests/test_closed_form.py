@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gaussfisher import closed_form as cf
 from gaussfisher import core
 from gaussfisher import verification as v
-from gaussfisher.errors import NumericalConsistencyError, ValidationError
+from gaussfisher.errors import NumericalConsistencyError, ValidationError, cancellation_error
 from gaussfisher.states import FamilyPoint, MtsParams, StsParams, TsParams
 from gaussfisher.verification import random_mts, random_sts
 
@@ -160,3 +160,30 @@ class TestFidelitySpecial:
         # a bare ZeroDivisionError
         with pytest.raises(NumericalConsistencyError):
             cf.fidelity_special(point, point)
+
+    def test_bit_identical_to_pair_invariants(self, rng):
+        draws = {"TS": lambda: FamilyPoint.ts(*rng.uniform(0.0, 3.0, 2)),
+                 "MTS": lambda: random_mts(rng), "STS": lambda: random_sts(rng)}
+        for _ in range(100):
+            for draw in draws.values():
+                a, b = draw(), draw()
+                inv = cf.pair_invariants(a, b)
+                expected = 2.0 / (math.sqrt(inv.k_plus) - math.sqrt(inv.k_minus)) ** 2
+                assert cf.fidelity_special(a, b) == expected
+
+    @pytest.mark.parametrize("point", [FamilyPoint.ts(1e8, 1e8),
+                                       FamilyPoint.mts(1e8, 1e8, 0.5, 0.2)],
+                             ids=["ts", "mts"])
+    def test_gap_error_same_as_record(self, point):
+        with pytest.raises(NumericalConsistencyError, match="^k_plus - k_minus = ") as record:
+            cf.pair_invariants(point, point)
+        with pytest.raises(NumericalConsistencyError) as special:
+            cf.fidelity_special(point, point)
+        assert str(special.value) == str(record.value)
+
+    def test_cancellation_error_names_the_invariants(self):
+        point = FamilyPoint.sts(1e8, 1e8, 0.5, 0.2)
+        inv = cf.pair_invariants(point, point)
+        with pytest.raises(NumericalConsistencyError) as special:
+            cf.fidelity_special(point, point)
+        assert str(special.value) == str(cancellation_error(inv.k_plus, inv.k_minus))

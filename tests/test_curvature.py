@@ -432,6 +432,13 @@ class TestFloatPoints:
         with pytest.raises(ChartDomainError, match=f"^{re.escape(message)}$"):
             cv.scalar_curvature_pipeline(cv.family_metric_field(tag), x)
 
+    def test_fiber_product_overflow_refused(self):
+        # H_dev and sinh(x)^2 are finite on the numpy row, their product is not:
+        # refused by the fiber component, no longer read as a non-finite metric
+        with pytest.raises(ChartDomainError, match=(
+                "^fiber metric component at x = 340.0 overflows double precision$")):
+            cv.scalar_curvature_pipeline(cv.family_metric_field("STS"), [1e100, 1.0, 340.0, 0.0])
+
     @pytest.mark.parametrize("x", [360.0, 400.0, 800.0])
     def test_fiber_overflow_refused(self, x):
         # sinh(x)^2 overflows at the centre, from x near 355 on

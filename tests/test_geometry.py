@@ -8,7 +8,7 @@ import pytest
 from gaussfisher import geometry
 from gaussfisher import verification as v
 from gaussfisher.closed_form import fidelity_special
-from gaussfisher.errors import ChartDomainError, ValidationError
+from gaussfisher.errors import ChartDomainError, NumericalConsistencyError, ValidationError
 from gaussfisher.states import FamilyPoint, separability_threshold
 
 
@@ -70,6 +70,13 @@ class TestQfiClosed:
         with pytest.raises(ChartDomainError):
             geometry.qfi_closed(FamilyPoint.ts(1.0, 1.0))
 
+    # H_dev ~ 3e99 and sinh(340)^2 ~ 1e295 are both finite, their product is not
+    @pytest.mark.parametrize("route", [geometry.qfi_closed, geometry.jeffreys_prior])
+    def test_fiber_product_overflow_refused(self, route):
+        with pytest.raises(ChartDomainError, match=(
+                r"^fiber metric component at x = 340\.0 overflows double precision$")):
+            route(FamilyPoint.sts(1e100, 1.0, 170.0, 0.0))
+
 
 class TestTsMetric:
     def test_unit_occupancies(self):
@@ -129,6 +136,47 @@ def reference_numeric_metric(point):
     return g
 
 
+def record_path_numeric_metric(point):
+    """numeric_metric with a FamilyPoint per stencil row, each row through
+    point_from_chart and fidelity_special, with the same checks in the same
+    order."""
+    coords = geometry.chart_coords(point).tolist()
+    h = [geometry.RELATIVE_STEP * max(1.0, abs(c)) for c in coords]
+    geometry._interior_guard(point, h)
+    if abs(fidelity_special(point, point) - 1.0) > 1e-12:
+        raise NumericalConsistencyError("fidelity at zero displacement is not 1")
+
+    def quad_form(w):
+        f = [math.sqrt(fidelity_special(point, geometry.point_from_chart(
+            point.tag, [c + t * wc for c, wc in zip(coords, w)])))
+            for t in (-2.0, -1.0, 1.0, 2.0)]
+        first = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / 12.0
+        if abs(first) > geometry.FIRST_DERIVATIVE_TOL:
+            raise NumericalConsistencyError(
+                f"first derivative of sqrt(F) not zero (residual {first:.3e})")
+        return -(-f[0] + 16.0 * f[1] - 30.0 + 16.0 * f[2] - f[3]) / 12.0
+
+    g = np.zeros((4, 4))
+    basis = [[h[a] if i == a else 0.0 for i in range(4)] for a in range(4)]
+    for a in range(4):
+        g[a, a] = quad_form(basis[a]) / h[a] ** 2
+    for a in range(4):
+        for b in range(a + 1, 4):
+            q_plus = quad_form([u + v for u, v in zip(basis[a], basis[b])])
+            q_minus = quad_form([u - v for u, v in zip(basis[a], basis[b])])
+            g[a, b] = g[b, a] = (q_plus - q_minus) / (4.0 * h[a] * h[b])
+    return g
+
+
+def outcome(fn, point):
+    """The matrix bytes fn returns at point, or the type and text of what it raises."""
+    try:
+        result = fn(point)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return getattr(result, "matrix", result).tobytes()
+
+
 class TestNumericMetric:
     def test_mts_against_closed_form(self):
         _, diagonal, off_diagonal = v.metric_deviation(
@@ -169,6 +217,64 @@ class TestNumericMetric:
             ):
                 assert np.array_equal(geometry.numeric_metric(point).matrix,
                                       reference_numeric_metric(point))
+
+    def test_bit_identical_across_phi_wrap(self):
+        # |phi| within 2 h_phi of pi: stencil rows cross pi and are wrapped,
+        # and the STS rows halve their chart coordinate 2r. The wrap moves
+        # the last bits of only a few metrics (two of these 400), hence the
+        # many draws
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            for make, device in ((FamilyPoint.mts, rng.uniform(0.3, 2.8)),
+                                 (FamilyPoint.sts, rng.uniform(0.05, 1.0))):
+                phi = rng.choice([-1.0, 1.0]) * (math.pi - rng.uniform(0.0, 6e-3))
+                point = make(rng.uniform(0.5, 30.0), rng.uniform(0.01, 0.4), device, phi)
+                assert math.pi - abs(point.params.phi) < 2e-3 * math.pi
+                assert np.array_equal(geometry.numeric_metric(point).matrix,
+                                      reference_numeric_metric(point))
+
+    def test_theta_guard_keeps_stencil_rows_below_pi(self):
+        # numeric_metric builds no MtsParams per row, so no row may reach
+        # theta = pi: every float theta near the guard's upper end that
+        # passes it keeps theta + 2 h below pi after rounding
+        def passes(theta):
+            h = [geometry.RELATIVE_STEP * max(1.0, abs(c)) for c in (2.0, 0.5, theta, 0.0)]
+            try:
+                geometry._interior_guard(FamilyPoint.mts(2.0, 0.5, theta, 0.0), h)
+            except ChartDomainError:
+                return False
+            return True
+
+        lo, hi = 3.0, math.pi
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        theta = lo
+        for _ in range(5000):
+            assert passes(theta)
+            assert theta + 2.0 * (geometry.RELATIVE_STEP * theta) < math.pi
+            theta = math.nextafter(theta, 0.0)
+        assert not passes(hi)
+
+    @pytest.mark.parametrize("point", [
+        FamilyPoint.sts(359.5598393495029, 0.2642293876435009, 1.2619252215640213,
+                        2.562927318407205),
+        FamilyPoint.mts(28756.220908444615, 1.1999049779393502, 0.2188232194149646,
+                        -2.9008341868288254),
+        FamilyPoint.mts(1e8, 5e7, 1.0, math.pi),
+        FamilyPoint.sts(1e8, 1e8, 0.5, 0.2),
+        FamilyPoint.mts(1.797e308, 0.5, 1.0, 0.2),
+        FamilyPoint.sts(0.5, 1.796e308, 1.0, 0.2),
+        FamilyPoint.sts(1.7e308, 1.797e308, 1.0, 0.2),
+        FamilyPoint.sts(2.0, 1.0, 354.9, 0.2),
+        FamilyPoint.sts(2.0, 1.0, 1e308, 0.2),
+    ], ids=["first_derivative", "self_fidelity", "gap_below_2", "cancellation",
+            "n1_row_overflow", "n2_row_overflow", "k_overflow_before_row_overflow",
+            "sinh_overflow", "squeeze_row_overflow"])
+    def test_errors_match_record_path(self, point):
+        expected = outcome(record_path_numeric_metric, point)
+        assert isinstance(expected, tuple)
+        assert outcome(geometry.numeric_metric, point) == expected
 
     @pytest.mark.parametrize("point", [FamilyPoint.mts(1000.0, 0.3, 1.0, 0.2),
                                        FamilyPoint.sts(100.0, 0.15, 0.5, 0.2)])
