@@ -8,7 +8,7 @@ explicit expressions in the defining parameters, and the fidelity becomes
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalConsistencyError, ValidationError, cancellation_error
+from .errors import NumericalConsistencyError, ValidationError, cancellation_error, overflow_error
 from .states import MTS, STS, FamilyPoint, MtsParams, StsParams
 from .tolerances import current as current_tol
 
@@ -26,7 +26,18 @@ def fidelity_ts(n1a: float, n2a: float, n1b: float, n2b: float) -> float:
     return (q_affinity(n1a, n1b) * q_affinity(n2a, n2b)) ** -2
 
 
-def _gap_error(k_plus: float, k_minus: float) -> NumericalConsistencyError:
+def _k_overflow():
+    """The error of a pair whose (k_plus, k_minus) algebra leaves double precision."""
+    return overflow_error("(k_plus, k_minus) of this pair")
+
+
+def _gap_error(k_plus: float, k_minus: float):
+    """The error of a pair whose gap k_plus - k_minus fails the test
+    ``2 - slack <= k_plus - k_minus < inf``: an overflow where k_plus or
+    k_minus is not finite (k_minus >= 0, so a finite pair has a finite gap),
+    NumericalConsistencyError where the gap is below 2."""
+    if not (abs(k_plus) < math.inf and abs(k_minus) < math.inf):
+        return _k_overflow()
     return NumericalConsistencyError(f"k_plus - k_minus = {k_plus - k_minus:.6e} < 2")
 
 
@@ -36,7 +47,8 @@ class PairInvariants:
     k_minus: float
 
     def __post_init__(self):
-        if self.k_plus - self.k_minus < 2.0 - current_tol().invariant:
+        # chained so that NaN and inf fail too
+        if not 2.0 - current_tol().invariant <= self.k_plus - self.k_minus < math.inf:
             raise _gap_error(self.k_plus, self.k_minus)
 
 
@@ -46,9 +58,11 @@ def fidelity_from_k(k_plus: float, k_minus: float, slack: float) -> float:
     ``slack`` is the ``invariant`` tolerance, read once by the caller.
     k_plus - k_minus below 2 - slack raises NumericalConsistencyError, as
     :class:`PairInvariants` does; so does sqrt(k_plus) - sqrt(k_minus)
-    rounding to zero.
+    rounding to zero. A k_plus or k_minus that is not finite raises
+    ChartDomainError (:func:`~gaussfisher.errors.overflow_error`).
     """
-    if k_plus - k_minus < 2.0 - slack:
+    # chained so that NaN and inf fail too
+    if not 2.0 - slack <= k_plus - k_minus < math.inf:
         raise _gap_error(k_plus, k_minus)
     try:
         return 2.0 / (math.sqrt(k_plus) - math.sqrt(k_minus)) ** 2
@@ -59,18 +73,23 @@ def fidelity_from_k(k_plus: float, k_minus: float, slack: float) -> float:
 # The (k_plus, k_minus) algebra of each family, written once. The MTS and STS
 # functions take the first point's parameter record and the second point's
 # parameters as plain numbers, so that numeric_metric can feed them stencil
-# rows without building records.
+# rows without building records. Where a ``**``, cosh or sinh overflows
+# (OverflowError on Python floats) they raise ChartDomainError; a product
+# that overflows to inf inside a square root is left to the gap test.
 
 
 def _k_pair_thermal(n1a, n2a, n1b, n2b):
-    k_plus = 2.0 * (
-        math.sqrt(n1a * n2a * n1b * n2b)
-        + math.sqrt((n1a + 1.0) * (n2a + 1.0) * (n1b + 1.0) * (n2b + 1.0))
-    ) ** 2
-    k_minus = 2.0 * (
-        math.sqrt(n1a * (n2a + 1.0) * n1b * (n2b + 1.0))
-        + math.sqrt((n1a + 1.0) * n2a * (n1b + 1.0) * n2b)
-    ) ** 2
+    try:
+        k_plus = 2.0 * (
+            math.sqrt(n1a * n2a * n1b * n2b)
+            + math.sqrt((n1a + 1.0) * (n2a + 1.0) * (n1b + 1.0) * (n2b + 1.0))
+        ) ** 2
+        k_minus = 2.0 * (
+            math.sqrt(n1a * (n2a + 1.0) * n1b * (n2b + 1.0))
+            + math.sqrt((n1a + 1.0) * n2a * (n1b + 1.0) * n2b)
+        ) ** 2
+    except OverflowError:
+        raise _k_overflow() from None
     return k_plus, k_minus
 
 
@@ -94,13 +113,16 @@ def k_pair_sts(a: StsParams, n1: float, n2: float, r: float, phi: float) -> tupl
     k_minus carries no device dependence; k_plus gains a hyperbolic term in
     the squeeze and phase differences.
     """
-    k_plus_cross = 2.0 * (
-        math.sqrt(a.n1 * a.n2 * (n1 + 1.0) * (n2 + 1.0))
-        + math.sqrt((a.n1 + 1.0) * (a.n2 + 1.0) * n1 * n2)
-    ) ** 2
-    device = (1.0 + math.cosh(2.0 * (a.r - r))) + math.sinh(2.0 * a.r) * math.sinh(
-        2.0 * r
-    ) * (1.0 - math.cos(a.phi - phi))
+    try:
+        k_plus_cross = 2.0 * (
+            math.sqrt(a.n1 * a.n2 * (n1 + 1.0) * (n2 + 1.0))
+            + math.sqrt((a.n1 + 1.0) * (a.n2 + 1.0) * n1 * n2)
+        ) ** 2
+        device = (1.0 + math.cosh(2.0 * (a.r - r))) + math.sinh(2.0 * a.r) * math.sinh(
+            2.0 * r
+        ) * (1.0 - math.cos(a.phi - phi))
+    except OverflowError:
+        raise _k_overflow() from None
     k_plus = k_plus_cross + (a.n1 + a.n2 + 1.0) * (n1 + n2 + 1.0) * device
     _, k_minus = _k_pair_thermal(a.n1, a.n2, n1, n2)
     return k_plus, k_minus

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError, cancellation_error
+from .errors import NumericalConsistencyError, ValidationError, cancellation_error, overflow_error
 from .tolerances import current as current_tol
 
 log = logging.getLogger("gaussfisher")
@@ -174,8 +174,10 @@ def compute_invariants(cov_a, cov_b) -> FidelityBreakdown:
 
     The exact inequalities delta >= 1, gamma >= delta, lam >= 0,
     k_minus >= 0 and k_plus - k_minus >= 2 are enforced up to a scaled
-    tolerance; violations raise :class:`NumericalConsistencyError`. Both
-    raw matrices are validated first (:func:`validate_cov`).
+    tolerance; violations raise :class:`NumericalConsistencyError`. A
+    delta, gamma or lam that overflows double precision raises
+    ChartDomainError first. Both raw matrices are validated first
+    (:func:`validate_cov`).
     """
     tol = current_tol()
     cov_a = validate_cov(cov_a)
@@ -185,11 +187,16 @@ def compute_invariants(cov_a, cov_b) -> FidelityBreakdown:
 
 def _invariants(cov_a: np.ndarray, cov_b: np.ndarray, tol) -> FidelityBreakdown:
     """:func:`compute_invariants` on covariance matrices that are validated already."""
-    delta = float(np.linalg.det(cov_a + cov_b))
-    gamma = float(16.0 * np.linalg.det((_J @ cov_a) @ (_J @ cov_b) - _QUARTER_I))
-    det_a = _real_edge_det(cov_a + _HALF_IJ, tol)
-    det_b = _real_edge_det(cov_b + _HALF_IJ, tol)
+    # an overflowing determinant is refused below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = float(np.linalg.det(cov_a + cov_b))
+        gamma = float(16.0 * np.linalg.det((_J @ cov_a) @ (_J @ cov_b) - _QUARTER_I))
+        det_a = _real_edge_det(cov_a + _HALF_IJ, tol)
+        det_b = _real_edge_det(cov_b + _HALF_IJ, tol)
     lam = 16.0 * det_a * det_b
+    if not (math.isfinite(delta) and math.isfinite(gamma) and math.isfinite(lam)):
+        raise overflow_error(f"determinant invariants (delta, gamma, lam) = "
+                             f"({delta:.6e}, {gamma:.6e}, {lam:.6e})")
 
     slack = tol.invariant
     if delta < 1.0 - slack * (1.0 + abs(delta)):

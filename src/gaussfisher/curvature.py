@@ -11,12 +11,14 @@ convention is fixed so the unit round sphere has scalar curvature +2.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ChartDomainError, ValidationError, overflow_error
-from .geometry import _chart_family, occupancy_qfi, occupancy_qfi_derivative
+from .geometry import (_chart_family, _float_square, _occupancy_entry, occupancy_qfi,
+                       occupancy_qfi_derivative)
 from .states import MTS, STS, _check_occupancies
 
 # occupancy of the unique stationary point of the STS curvature surface
@@ -43,12 +45,20 @@ class MetricField:
     float vector and ``partials`` and ``domain_guard`` a list of Python
     floats, so both must index the point rather than compute on it as an
     array.
+
+    ``stack``, where given, maps an (m, dim) array of points to the metric
+    stack (m, dim, dim) and the partials stack (m, dim, dim, dim) in one
+    pass, to the bits ``metric`` and ``partials`` give point by point. It
+    never raises on an overflow: where ``metric`` or ``partials`` would
+    raise, the stacks hold inf or NaN or a metric that fails the condition
+    test, and the pipeline then evaluates the points one by one instead.
     """
 
     coords: tuple
     metric: Callable[[np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray], np.ndarray]
     domain_guard: Optional[Callable[[np.ndarray], None]] = None
+    stack: Optional[Callable[[np.ndarray], tuple]] = None
 
     @property
     def dim(self) -> int:
@@ -76,14 +86,37 @@ def _chart_point(fld: MetricField, point) -> np.ndarray:
     return x
 
 
-def _christoffel_stack(fld: MetricField, points: np.ndarray):
-    """Christoffel symbols and inverse metrics at each row of ``points``.
+def _clean_stacks(fld: MetricField, points: np.ndarray):
+    """The field's ``stack`` at ``points``, or None unless the stencil is clean.
 
-    Guards, metrics and partials run point by point; the condition test,
-    the inversion and the contraction run once over the stack. The error
-    raised is the one a point-by-point pass raises first: each point's
-    guard and metric, then its condition test, then its partials. A metric
-    that is not finite fails its condition test with ChartDomainError.
+    Clean: every coordinate is finite, every domain guard passes, and every
+    metric and partial is finite and every metric passes the condition
+    test. Only then can no point raise, so the point-by-point walk would
+    give the same stacks.
+    """
+    if fld.stack is None or not np.isfinite(points).all():
+        return None
+    try:
+        for coords in points.tolist():
+            fld.check_domain(coords)
+    except ChartDomainError:
+        return None
+    with np.errstate(all="ignore"):
+        g, dg = fld.stack(points)
+    if not (np.isfinite(g).all() and np.isfinite(dg).all()):
+        return None
+    if (np.linalg.cond(g) > _COND_LIMIT).any():
+        return None
+    return g, dg
+
+
+def _walk(fld: MetricField, points: np.ndarray):
+    """Metric and partials stacks, evaluated point by point.
+
+    The error raised is the one a point-by-point pass raises first: each
+    point's guard and metric, then its condition test, then its partials.
+    A metric that is not finite fails its condition test with
+    ChartDomainError.
 
     The guard and the partials take the point as a list of Python floats,
     which they evaluate several times faster than numpy scalars, to the
@@ -117,8 +150,21 @@ def _christoffel_stack(fld: MetricField, points: np.ndarray):
         raise ChartDomainError("metric is not finite at this point")
     if failure is not None:
         raise failure
+    return g, np.array(partials, dtype=float)
+
+
+def _christoffel_stack(fld: MetricField, points: np.ndarray):
+    """Christoffel symbols and inverse metrics at each row of ``points``.
+
+    A field with a ``stack`` evaluates a clean stencil in one pass
+    (:func:`_clean_stacks`); any other stencil, and every point of a field
+    without one, goes through the point-by-point walk (:func:`_walk`),
+    which alone decides what is raised. The inversion and the contraction
+    run once over the stack.
+    """
+    stacks = _clean_stacks(fld, points)
+    g, dg = stacks if stacks is not None else _walk(fld, points)
     ginv = np.linalg.inv(g)
-    dg = np.array(partials, dtype=float)
     # T[p, l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk at point p
     t = np.transpose(dg, (0, 2, 1, 3)) + np.transpose(dg, (0, 2, 3, 1)) - dg
     return 0.5 * np.einsum("pil,pljk->pijk", ginv, t), ginv
@@ -333,37 +379,83 @@ def thermal_field() -> MetricField:
     return MetricField(("n1", "n2"), metric, partials, guard)
 
 
+def _on_floats(f, rows: np.ndarray) -> np.ndarray:
+    """``f`` of each entry of ``rows``, evaluated on Python floats; all NaN
+    where one overflows.
+
+    Python's ``**`` and the ``math`` functions can round differently from
+    numpy's array square and ``np.sinh``, so the stacked rows use them to
+    keep the bits of the point-by-point evaluation.
+    """
+    try:
+        return np.array([f(v) for v in rows.tolist()])
+    except OverflowError:
+        return np.full(len(rows), math.nan)
+
+
+def _family_partials(fam, n1, n2, x, square, fiber, out) -> tuple:
+    """Fill ``out[..., k, i, j] = d g_ij / d x_k`` of a family's Bures metric.
+
+    Runs on one point's coordinates (``out`` of shape (4, 4, 4)) or on the
+    columns of stacked points (``out`` of shape (m, 4, 4, 4)); ``square``
+    and ``fiber`` evaluate ``v ** 2`` and F(v) on Python floats either way.
+    On one point an overflow raises as the formulas' own arithmetic does,
+    in their order. Returns H_dev and F(x)^2, the terms of the device
+    components.
+    """
+    u = fam.numerator(n1, n2)
+    d = fam.denominator(n1, n2)
+    u_sq = square(u)
+    d_sq = square(d)
+    d1 = (2.0 * u * d - u_sq * (2.0 * n2 + 1.0)) / d_sq
+    d2 = (2.0 * fam.du_dn2 * u * d - u_sq * (2.0 * n1 + 1.0)) / d_sq
+    af = square(fiber(x))
+    out[..., 0, 0, 0] = 0.25 * occupancy_qfi_derivative(n1, square)
+    out[..., 1, 1, 1] = 0.25 * occupancy_qfi_derivative(n2, square)
+    out[..., 0, 2, 2] = 0.25 * d1
+    out[..., 1, 2, 2] = 0.25 * d2
+    out[..., 0, 3, 3] = 0.25 * d1 * af
+    out[..., 1, 3, 3] = 0.25 * d2 * af
+    # d(F^2)/dx = F(2x) for both sin and sinh; D > 0 wherever d1 is defined
+    h_dev = u_sq / d
+    out[..., 2, 3, 3] = 0.25 * h_dev * fiber(2.0 * x)
+    return h_dev, af
+
+
 def family_metric_field(family_tag: str) -> MetricField:
     """Bures metric field on a 4d family chart, with analytic partials.
 
     The domain guard enforces the pipeline working region: occupancies and
     the device numerator u (the MTS gap n1 - n2) away from zero, device
-    coordinate away from the ends of its chart range.
+    coordinate away from the ends of its chart range. The field's
+    ``stack`` evaluates the metric and the partials of all stencil points
+    at once, on the formulas of :meth:`~gaussfisher.geometry.FamilyMetric.components`
+    and :func:`_family_partials`.
     """
     fam = _chart_family(family_tag)
     name = fam.coords[2]
     lo, hi = fam.device_range
+    square_rows = partial(_on_floats, _float_square)
+    fiber_rows = partial(_on_floats, fam.fiber)
 
     def metric(x):
         return 0.25 * np.diag(fam.components(x[0], x[1], x[2]))
 
     def partials(x):
-        n1, n2 = x[0], x[1]
-        u = fam.numerator(n1, n2)
-        d = fam.denominator(n1, n2)
-        d1 = (2.0 * u * d - u**2 * (2.0 * n2 + 1.0)) / d**2
-        d2 = (2.0 * fam.du_dn2 * u * d - u**2 * (2.0 * n1 + 1.0)) / d**2
-        af = fam.fiber(x[2]) ** 2
         out = np.zeros((4, 4, 4))
-        out[0, 0, 0] = 0.25 * occupancy_qfi_derivative(n1)
-        out[1, 1, 1] = 0.25 * occupancy_qfi_derivative(n2)
-        out[0, 2, 2] = 0.25 * d1
-        out[1, 2, 2] = 0.25 * d2
-        out[0, 3, 3] = 0.25 * d1 * af
-        out[1, 3, 3] = 0.25 * d2 * af
-        # d(F^2)/dx = F(2x) for both sin and sinh
-        out[2, 3, 3] = 0.25 * fam.device(n1, n2) * fam.fiber(2.0 * x[2])
+        _family_partials(fam, x[0], x[1], x[2], _float_square, fam.fiber, out)
         return out
+
+    def stack(points):
+        n1, n2, x = points[:, 0], points[:, 1], points[:, 2]
+        dg = np.zeros((len(points), 4, 4, 4))
+        h_dev, af = _family_partials(fam, n1, n2, x, square_rows, fiber_rows, dg)
+        g = np.zeros((len(points), 4, 4))
+        g[:, 0, 0] = 0.25 * _occupancy_entry(n1)
+        g[:, 1, 1] = 0.25 * _occupancy_entry(n2)
+        g[:, 2, 2] = 0.25 * h_dev
+        g[:, 3, 3] = 0.25 * (h_dev * af)
+        return g, dg
 
     def guard(x):
         if min(x[0], x[1]) < _GUARD_OCC:
@@ -377,4 +469,4 @@ def family_metric_field(family_tag: str) -> MetricField:
                 f"ends of its chart range"
             )
 
-    return MetricField(fam.coords, metric, partials, guard)
+    return MetricField(fam.coords, metric, partials, guard, stack)

@@ -146,6 +146,11 @@ def point_from_chart(tag: str, coords) -> FamilyPoint:
     return FamilyPoint(STS, StsParams(n1, n2, device / 2.0, phi))
 
 
+def _occupancy_entry(n):
+    """1/(n(n+1)), unchecked; elementwise on arrays."""
+    return 1.0 / (n * (n + 1.0))
+
+
 def occupancy_qfi(n: float) -> float:
     """Occupancy component H_occ(n) = 1/(n(n+1)) shared by all three families.
 
@@ -154,14 +159,20 @@ def occupancy_qfi(n: float) -> float:
     """
     if n == 0.0:
         return math.inf
-    value = 1.0 / (n * (n + 1.0))
+    value = _occupancy_entry(n)
     if value == math.inf or value == 0.0:
         raise overflow_error(f"occupancy metric component at n = {float(n)!r}")
     return value
 
 
-def occupancy_qfi_derivative(n: float) -> float:
-    return -(2.0 * n + 1.0) / (n * (n + 1.0)) ** 2
+def _float_square(v: float) -> float:
+    """``v ** 2``: Python's pow, which can round differently from numpy's array square."""
+    return v ** 2
+
+
+def occupancy_qfi_derivative(n: float, square=_float_square) -> float:
+    """dH_occ/dn = -(2n + 1) / (n(n+1))^2; ``square`` squares n(n+1)."""
+    return -(2.0 * n + 1.0) / square(n * (n + 1.0))
 
 
 @dataclass(frozen=True)
@@ -273,7 +284,8 @@ def numeric_metric(point: FamilyPoint) -> MetricMatrix:
     _interior_guard(point, h)
 
     slack = current_tol().invariant
-    if abs(fidelity_from_k(*pair_k(point, point), slack) - 1.0) > 1e-12:
+    # written so that NaN fails too
+    if not abs(fidelity_from_k(*pair_k(point, point), slack) - 1.0) <= 1e-12:
         raise NumericalConsistencyError("fidelity at zero displacement is not 1")
 
     centre = point.params
@@ -318,7 +330,10 @@ def jeffreys_prior(point: FamilyPoint) -> float:
     """Square root of the QFI determinant in the natural chart.
 
     Vanishes at chart degeneracies (MTS with n1 = n2, or zero device
-    parameter); diverges at zero occupancy, which raises.
+    parameter); diverges at zero occupancy, which raises. Where the product
+    of the four components underflows to 0 or overflows to inf although
+    each is finite and positive (occupancy components near 1e-200 at
+    n = 1e100), it is taken as the product of their square roots.
     """
     p = point.params
     if min(p.n1, p.n2) == 0.0:
@@ -327,6 +342,12 @@ def jeffreys_prior(point: FamilyPoint) -> float:
     product = 1.0
     for value in h.values():
         product *= value
+    if (product == 0.0 or product == math.inf) and all(
+            0.0 < value < math.inf for value in h.values()):
+        prior = 1.0
+        for value in h.values():
+            prior *= math.sqrt(value)
+        return prior
     return math.sqrt(product)
 
 

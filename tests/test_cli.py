@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -26,6 +27,9 @@ n2 = 0.0
 r = 0.7
 phi = 0.0
 """
+
+# at n1 = 1e100 the closed form's k_plus and k_minus overflow
+HUGE_MTS_DOC = "family = MTS\nn1 = 1e100\nn2 = 1e99\ntheta = 1\nphi = 0.2\n"
 
 
 def write(tmp_path, name, text):
@@ -111,6 +115,20 @@ class TestFidelityCommand:
         assert captured.err.startswith("error: sqrt(k_plus) - sqrt(k_minus) rounds to 0")
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_self_pair_exits_2(self, tmp_path, capsys):
+        # the general route's determinants overflow at n = 1e77: one error
+        # line, no numpy warning, where "fidelity nan outside [0, 1]" followed
+        # a RuntimeWarning
+        path = write(tmp_path, "a.txt", "family = STS\nn1 = 1e77\nn2 = 1e77\nr = 0.5\nphi = 0.2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fidelity", path, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: determinant invariants")
+        assert captured.err.endswith("overflows double precision\n")
+        assert captured.err.count("\n") == 1
+
     def test_bad_tolerance_override_exits_2(self, tmp_path, capsys, tolerance_env):
         path = write(tmp_path, "a.txt", MTS_DOC)
         with pytest.raises(ValidationError):
@@ -175,6 +193,23 @@ class TestMetricCommand:
         assert cli.main(["metric", write(tmp_path, "a.txt", doc), "--numeric"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert float(report["numeric_max_deviation"]) < 1e-4
+
+    def test_numeric_metric_overflow_exits_2(self, tmp_path, capsys):
+        # the closed form's k_plus and k_minus overflow: this printed four NaN
+        # rows and exited 0
+        path = write(tmp_path, "a.txt", HUGE_MTS_DOC)
+        assert cli.main(["metric", path, "--numeric"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: (k_plus, k_minus) of this pair "
+                                "overflows double precision\n")
+
+    def test_jeffreys_prior_does_not_underflow(self, tmp_path, capsys):
+        # the components 1e-200 and 1e-198 multiply to below the smallest
+        # double; this printed jeffreys_prior = 0.0
+        assert cli.main(["metric", write(tmp_path, "a.txt", HUGE_MTS_DOC)]) == 0
+        value = float(parse_report(capsys.readouterr().out)["jeffreys_prior"])
+        assert value == pytest.approx(3.4079574884719811e-199, rel=1e-14)
 
     def test_degenerate_numeric_point_fails(self, tmp_path, capsys):
         doc = "family = MTS\nn1 = 1.0\nn2 = 1.0\ntheta = 1.0\nphi = 0.0\n"

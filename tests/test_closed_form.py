@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gaussfisher import closed_form as cf
 from gaussfisher import core
 from gaussfisher import verification as v
-from gaussfisher.errors import NumericalConsistencyError, ValidationError, cancellation_error
+from gaussfisher.errors import (ChartDomainError, NumericalConsistencyError, ValidationError,
+                                cancellation_error)
 from gaussfisher.states import FamilyPoint, MtsParams, StsParams, TsParams
 from gaussfisher.verification import random_mts, random_sts
 
@@ -180,6 +181,32 @@ class TestFidelitySpecial:
         with pytest.raises(NumericalConsistencyError) as special:
             cf.fidelity_special(point, point)
         assert str(special.value) == str(record.value)
+
+    # the STS self-pair raised a bare OverflowError at n = 1e77 (a ** 2 of a
+    # finite sum) and returned NaN from 3e77 on (inf - inf in the gap); the
+    # MTS and TS self-pairs at 1e100, and a squeeze difference whose cosh
+    # overflows, are refused the same way
+    @pytest.mark.parametrize("a, b", [
+        (FamilyPoint.sts(1e77, 1e77, 0.5, 0.2),) * 2,
+        (FamilyPoint.sts(3e77, 3e77, 0.5, 0.2),) * 2,
+        (FamilyPoint.sts(1e78, 1e78, 0.5, 0.2),) * 2,
+        (FamilyPoint.mts(1e100, 1e99, 1.0, 0.2),) * 2,
+        (FamilyPoint.ts(1e100, 1e99),) * 2,
+        (FamilyPoint.sts(1.0, 1.0, 400.0, 0.2), FamilyPoint.sts(1.0, 1.0, 0.1, 0.2)),
+    ], ids=["sts_1e77", "sts_3e77", "sts_1e78", "mts_1e100", "ts_1e100", "sts_cosh"])
+    @pytest.mark.parametrize("route", [cf.fidelity_special, cf.pair_invariants])
+    def test_overflow_refused(self, route, a, b):
+        with pytest.raises(ChartDomainError, match=(
+                r"^\(k_plus, k_minus\) of this pair overflows double precision$")):
+            route(a, b)
+
+    def test_non_finite_invariants_refused(self):
+        for k_plus, k_minus in [(math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
+                                (5.0, math.nan)]:
+            with pytest.raises(ChartDomainError, match="overflows double precision$"):
+                cf.fidelity_from_k(k_plus, k_minus, 1e-12)
+            with pytest.raises(ChartDomainError, match="overflows double precision$"):
+                cf.PairInvariants(k_plus, k_minus)
 
     def test_cancellation_error_names_the_invariants(self):
         point = FamilyPoint.sts(1e8, 1e8, 0.5, 0.2)

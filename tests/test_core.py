@@ -1,6 +1,7 @@
 """Tests for the general two-mode machinery (core module)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussfisher import core
-from gaussfisher.errors import NumericalConsistencyError, ValidationError
+from gaussfisher.errors import ChartDomainError, NumericalConsistencyError, ValidationError
 from gaussfisher.states import FamilyPoint, TsParams, sq_symplectic, thermal_cov
 from gaussfisher.verification import (fidelity_properties, random_mts, random_physical_state,
                                       random_sts)
@@ -148,6 +149,20 @@ class TestFidelityTwoMode:
         state = FamilyPoint.sts(1e8, 1e8, 0.5, 0.2).to_state()
         with pytest.raises(NumericalConsistencyError, match="rounds to 0"):
             core.fidelity_two_mode(state, state)
+
+    def test_overflowing_invariants_refused(self):
+        # the determinants of the STS self-pair at n = 1e77 overflow: refused
+        # before the inequality checks, with no numpy warning; this used to
+        # warn and end in "fidelity nan outside [0, 1]"
+        state = FamilyPoint.sts(1e77, 1e77, 0.5, 0.2).to_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChartDomainError, match=(
+                    r"^determinant invariants \(delta, gamma, lam\) = \(inf, .*\) "
+                    r"overflows double precision$")):
+                core.fidelity_two_mode(state, state)
+            with pytest.raises(ChartDomainError, match="overflows double precision$"):
+                core.compute_invariants(state.cov, state.cov)
 
     def test_symmetry(self, rng):
         pairs = lambda r: (random_physical_state(r, True), random_physical_state(r, True))

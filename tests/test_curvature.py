@@ -1,5 +1,6 @@
 """Tests for the curvature pipeline, closed forms and the warped route."""
 
+import dataclasses
 import math
 import re
 
@@ -43,6 +44,8 @@ def reference_christoffel(fld, x):
     x = np.asarray(x, dtype=float)
     fld.check_domain(x)
     g = np.asarray(fld.metric(x), dtype=float)
+    if not np.isfinite(g).all():
+        raise ChartDomainError("metric is not finite at this point")
     if np.linalg.cond(g) > 1e10:
         raise ChartDomainError("metric is singular at this point")
     ginv = np.linalg.inv(g)
@@ -318,7 +321,74 @@ class TestFamilyPipeline:
                                          [1.0, 0.5, 0.01, 0.0])
 
 
+def family_sweep(tag, rng, count):
+    """Family chart points: uniform draws, draws just either side of each
+    domain guard, and the overflow edges of the occupancies and the fiber."""
+    lo, hi = geometry.FAMILY_METRICS[tag].device_range
+    top = 3.14 if hi == math.inf else hi
+    near = lambda edge: edge + rng.uniform(-2.5e-3, 2.5e-3)
+    points = []
+    for i in range(count):
+        n1, n2 = rng.uniform(0.0, 3.0, 2)
+        device, phi = rng.uniform(0.0, top), rng.uniform(-3.0, 3.0)
+        kind = i % 4
+        if kind == 1:
+            n1, n2 = near(1e-3), near(1e-3) if i % 8 == 1 else n2
+        elif kind == 2:
+            n2 = n1 + near(1e-3) * rng.choice([-1.0, 1.0])
+        elif kind == 3:
+            device = near(lo + 0.05) if i % 8 == 3 else near(top - 0.05)
+        points.append([abs(n1), abs(n2), abs(device), phi])
+    for n in (1e5, 1e20, 1e77, 0.7e154, 1e160):
+        for device in (1.0, 340.0, 355.0, 355.3, 355.5, 360.0):
+            for n2 in (n, 0.5 * n, 1.0):
+                points.append([n, n2, device, 0.2])
+    return points
+
+
 class TestStackedPass:
+    @pytest.mark.parametrize("tag", ["MTS", "STS"])
+    def test_family_sweep_matches_pointwise(self, tag):
+        # the stacked family evaluation against the point-by-point reference:
+        # same values, same errors, over clean stencils, guard boundaries and
+        # the overflow edges where the walk decides
+        fld = cv.family_metric_field(tag)
+        rng = np.random.default_rng(2027 + ["MTS", "STS"].index(tag))
+        passed, refused = 0, 0
+        for x in family_sweep(tag, rng, 1000):
+            # the reference's numpy rows overflow quietly, as the walk's do
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = outcome(reference_pipeline, fld, x)
+            got = outcome(cv.scalar_curvature_pipeline, fld, x)
+            if isinstance(got, cv.CurvatureReport):
+                got = (got.scalar_r, got.residuals["antisymmetry"])
+                passed += 1
+            else:
+                refused += 1
+            assert got == expected, x
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = outcome(reference_christoffel, fld, x)
+            got = outcome(cv.christoffel, fld, x)
+            if isinstance(expected, np.ndarray):
+                assert got.tobytes() == expected.tobytes(), x
+            else:
+                assert got == expected, x
+        assert passed >= 300 and refused >= 300
+
+    @pytest.mark.parametrize("tag, x", [("MTS", [2.0, 0.6, 1.1, 0.3]),
+                                        ("STS", [1.7, 0.4, 1.1, 0.3])])
+    def test_clean_point_skips_the_walk(self, tag, x):
+        # a clean family stencil is evaluated by the field's stack alone
+        def per_point(point):
+            raise AssertionError("per-point evaluation on a clean stencil")
+
+        fld = cv.family_metric_field(tag)
+        stacked_only = dataclasses.replace(fld, metric=per_point, partials=per_point)
+        report = cv.scalar_curvature_pipeline(stacked_only, x)
+        expected = cv.scalar_curvature_pipeline(dataclasses.replace(fld, stack=None), x)
+        assert report == expected
+        assert np.array_equal(cv.christoffel(stacked_only, x), cv.christoffel(fld, x))
+
     @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_FIELDS))
     def test_bit_identical_to_pointwise(self, name):
         make, draw = BIT_IDENTITY_FIELDS[name]

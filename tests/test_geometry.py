@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -206,6 +207,18 @@ class TestNumericMetric:
         with pytest.raises(ChartDomainError):
             geometry.numeric_metric(FamilyPoint.mts(1.0, 1.0004, 1.2, 0.0))
 
+    def test_overflowing_self_fidelity_refused(self):
+        # k_plus and k_minus of the self-pair overflow to inf; the metric used
+        # to come out all NaN
+        with pytest.raises(ChartDomainError, match="overflows double precision$"):
+            geometry.numeric_metric(FamilyPoint.mts(1e100, 1e99, 1.0, 0.2))
+
+    def test_nan_self_fidelity_refused(self, monkeypatch):
+        # the self-fidelity check fails NaN, not only values away from 1
+        monkeypatch.setattr(geometry, "fidelity_from_k", lambda *args: math.nan)
+        with pytest.raises(NumericalConsistencyError, match="zero displacement"):
+            geometry.numeric_metric(FamilyPoint.mts(2.0, 1.0, 1.0, 0.2))
+
     def test_bit_identical_to_numpy_stencil(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -333,6 +346,35 @@ class TestJeffreysPrior:
 
     def test_mts_diagonal_vanishes(self):
         assert geometry.jeffreys_prior(FamilyPoint.mts(0.9, 0.9, 1.0, 0.0)) == 0.0
+
+    # the running product of the components underflows (1e-200 * 1e-198) or
+    # overflows (1e160 * 1e160) although the prior is representable
+    @pytest.mark.parametrize("point", [FamilyPoint.mts(1e100, 1e99, 1.0, 0.2),
+                                       FamilyPoint.sts(1e-160, 1e-160, 0.5, 0.2)],
+                             ids=["underflow", "overflow"])
+    def test_product_out_of_range_against_mpmath(self, point):
+        p = point.params
+        with mpmath.workdps(40):
+            n1, n2 = mpmath.mpf(p.n1), mpmath.mpf(p.n2)
+            if point.tag == "MTS":
+                u, d, fiber = n1 - n2, 2 * n1 * n2 + n1 + n2, mpmath.sin(mpmath.mpf(p.theta))
+            else:
+                u, d = n1 + n2 + 1, 2 * n1 * n2 + n1 + n2 + 1
+                fiber = mpmath.sinh(2 * mpmath.mpf(p.r))
+            h_dev = u**2 / d
+            exact = mpmath.sqrt(h_dev**2 * fiber**2 / (n1 * (n1 + 1) * n2 * (n2 + 1)))
+        value = geometry.jeffreys_prior(point)
+        assert 0.0 < value < math.inf
+        assert value == pytest.approx(float(exact), rel=1e-14)
+
+    def test_ordinary_points_keep_the_running_product(self, rng):
+        for _ in range(50):
+            point = v.random_sts(rng) if rng.uniform() < 0.5 else v.random_mts(rng)
+            h = geometry.qfi_closed(point).h
+            product = 1.0
+            for value in h.values():
+                product *= value
+            assert geometry.jeffreys_prior(point) == math.sqrt(product)
 
     def test_zero_occupancy_diverges(self):
         with pytest.raises(ChartDomainError):
